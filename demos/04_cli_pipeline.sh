@@ -14,8 +14,7 @@ factoralign simulate --n 500 --p 30 --k 3 --scenario sparse --seed 11 \
 factoralign fit "$workdir/data.csv" --k 3 --iterations 4000 --burn-in 500 \
     --seed 12 --prior-loading-variance 0.02 --out "$workdir/chain"
 
-# identical output regardless of the worker count
-factoralign align "$workdir/chain" --threads 4 --out "$workdir/aligned" \
+factoralign align "$workdir/chain" --out "$workdir/aligned" \
     --report "$workdir/align_report.json"
 
 factoralign diagnose --raw "$workdir/chain" --aligned "$workdir/aligned" \

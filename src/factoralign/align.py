@@ -26,7 +26,6 @@ from .core import (
     validate_loadings,
 )
 from .pivot import PivotSelection
-from ._parallel import parallel_map
 
 __all__ = [
     "AlignmentReport",
@@ -247,7 +246,6 @@ def align_chain(
     chain: Chain,
     pivot_selection: PivotSelection,
     config: MatchConfig | None = None,
-    threads: int = 1,
 ) -> tuple[Chain, AlignmentReport]:
     """Greedily align every sample of an orthogonalized chain to the pivot.
 
@@ -266,20 +264,19 @@ def align_chain(
     ):
         raise ValueError("pivot selection was not drawn from this chain")
 
-    def match_one(indexed: tuple[int, np.ndarray]):
-        t, sample = indexed
+    aligned_samples = np.empty(chain.samples.shape)
+    permutations = []
+    losses = np.empty(chain.n_samples)
+    total_unstable = 0
+    for t, sample in enumerate(chain.samples):
         try:
             sp, n_dist, n_norm, n_unstable = _greedy_match_stats(sample, pivot, cfg)
         except ValueError as exc:
             raise SampleError(t, str(exc)) from exc
-        aligned = apply_signed_permutation(sample, sp)
-        return sp, aligned, frobenius_norm(aligned - pivot), n_dist + n_norm, n_unstable
-
-    results = parallel_map(match_one, list(enumerate(chain.samples)), threads)
-    permutations = [r[0] for r in results]
-    aligned_samples = np.stack([r[1] for r in results])
-    losses = np.array([r[2] for r in results])
-    total_unstable = sum(r[4] for r in results)
+        aligned_samples[t] = apply_signed_permutation(sample, sp)
+        permutations.append(sp)
+        losses[t] = frobenius_norm(aligned_samples[t] - pivot)
+        total_unstable += n_unstable
     if total_unstable:
         logger.warning(
             "%d column matches across %d samples exceeded the unstable-distance "
@@ -292,6 +289,7 @@ def align_chain(
         losses=losses,
         total_loss=float(np.sum(losses)),
         pivot=pivot_selection,
-        comparisons_per_sample=results[0][3],
+        # Every sample evaluates the same number of distances and norms.
+        comparisons_per_sample=n_dist + n_norm,
     )
     return Chain(aligned_samples, chain.residual_variances), report

@@ -20,6 +20,7 @@ from .core import Chain
 __all__ = [
     "ChainFileManifest",
     "FileFormatError",
+    "chain_paths",
     "read_chain",
     "read_dataset",
     "read_traces",
@@ -51,7 +52,8 @@ class ChainFileManifest:
     seed_provenance: str | None = None
 
 
-def _paths(base) -> tuple[Path, Path]:
+def chain_paths(base) -> tuple[Path, Path]:
+    """The ``(<base>.json, <base>.bin)`` manifest and payload paths of a chain."""
     base = Path(base)
     if base.suffix in (".json", ".bin"):
         base = base.with_suffix("")
@@ -60,7 +62,7 @@ def _paths(base) -> tuple[Path, Path]:
 
 def write_chain(base, chain: Chain, seed_provenance: str | None = None) -> ChainFileManifest:
     """Write ``chain`` as a manifest/payload pair at ``<base>.json`` / ``<base>.bin``."""
-    manifest_path, payload_path = _paths(base)
+    manifest_path, payload_path = chain_paths(base)
     manifest = ChainFileManifest(
         format_version=FORMAT_VERSION,
         p=chain.n_variables,
@@ -105,7 +107,7 @@ def _read_manifest(manifest_path: Path) -> ChainFileManifest:
 
 def read_chain(base) -> tuple[Chain, ChainFileManifest]:
     """Read a manifest/payload chain pair, verifying payload length exactly."""
-    manifest_path, payload_path = _paths(base)
+    manifest_path, payload_path = chain_paths(base)
     manifest = _read_manifest(manifest_path)
     try:
         payload = payload_path.read_bytes()

@@ -1,9 +1,8 @@
 """Command-line pipeline: simulate -> fit -> align -> diagnose, plus oracle-check.
 
-Every subcommand is deterministic given its flags and seed; the worker count
-(``--threads``, or the FACTORALIGN_THREADS environment variable when the flag
-is absent) never changes output bytes.  Exit codes: 0 success, 2 invalid
-arguments, 3 input-format error, 4 numeric failure.
+Every subcommand is deterministic given its flags and seed.  ``align
+--threads`` is accepted for compatibility and has no effect.  Exit codes:
+0 success, 2 invalid arguments, 3 input-format error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -46,7 +46,6 @@ from .factor_model import (
 )
 from .pivot import INFINITE_FRACTION_THRESHOLD, PivotStatistic, select_pivot
 from .varimax import VarimaxConfig, orthogonalize_chain
-from ._parallel import resolve_threads
 
 __all__ = ["build_parser", "console", "main"]
 
@@ -105,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     aln.add_argument("--varimax-tolerance", type=float, default=1e-8)
     aln.add_argument("--varimax-max-iterations", type=int, default=1000)
     aln.add_argument("--kaiser-normalize", action="store_true")
-    aln.add_argument("--threads", type=int, default=None, help="worker count (0 = auto)")
+    aln.add_argument(
+        "--threads", type=int, default=None, help="accepted for compatibility; has no effect"
+    )
     aln.add_argument("--out", required=True, help="aligned chain prefix")
     aln.add_argument("--report", default=None, help="report path (default <out>_report.json)")
 
@@ -117,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="semicolon-separated 0-based row,col entries to export, e.g. '0,0;3,1'",
     )
-    dia.add_argument("--threads", type=int, default=None, help="worker count (0 = auto)")
     dia.add_argument("--out", required=True, help="output prefix for report and traces")
 
     orc = sub.add_parser(
@@ -187,7 +187,12 @@ def _permutation_payload(report) -> list[dict]:
 
 
 def _cmd_align(args) -> int:
-    threads = resolve_threads(args.threads)
+    if args.threads is not None and args.threads < 0:
+        raise ValueError("--threads must be >= 0")
+    report_path = args.report if args.report else f"{args.out}_report.json"
+    chain_files = chainio.chain_paths(args.out) + chainio.chain_paths(args.chain)
+    if Path(report_path).resolve() in {path.resolve() for path in chain_files}:
+        raise ValueError(f"--report path {report_path} collides with a chain file")
     raw_chain, _ = chainio.read_chain(args.chain)
     vconfig = VarimaxConfig(
         max_iterations=args.varimax_max_iterations,
@@ -197,13 +202,13 @@ def _cmd_align(args) -> int:
     mconfig = MatchConfig(order=_ORDER_CHOICES[args.order])
 
     start = time.perf_counter()
-    rotated = orthogonalize_chain(raw_chain, vconfig, threads=threads)
+    rotated = orthogonalize_chain(raw_chain, vconfig)
     selection = select_pivot(
         rotated,
         force_statistic=_PIVOT_CHOICES[args.pivot_statistic],
         infinite_fraction_threshold=args.infinite_fraction_threshold,
     )
-    aligned, report = align_chain(rotated, selection, mconfig, threads=threads)
+    aligned, report = align_chain(rotated, selection, mconfig)
     elapsed = time.perf_counter() - start
 
     chainio.write_chain(args.out, aligned, seed_provenance=f"align {args.chain}")
@@ -235,9 +240,6 @@ def _cmd_align(args) -> int:
         "diagnostics": diag,
         "timings": {"elapsed_align_seconds": diagnostics.elapsed_align_seconds},
     }
-    report_path = args.report if args.report else f"{args.out}_report.json"
-    if str(report_path) == f"{args.out}.json":
-        raise ValueError("--report path collides with the aligned chain manifest")
     chainio.write_report(report_path, payload)
     print(f"wrote {args.out}.json/.bin and {report_path}")
     return 0

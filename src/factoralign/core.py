@@ -166,7 +166,7 @@ class Chain:
 
     ``samples`` has shape (T, p, k); ``residual_variances``, when present,
     has shape (T, p) with strictly positive entries.  Arrays are kept as
-    read-only views so chains can be shared across concurrent workers.
+    read-only views, so a chain can be shared without being copied.
     """
 
     samples: np.ndarray

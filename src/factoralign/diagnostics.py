@@ -67,10 +67,9 @@ def build_report(
 
 
 def _mean_gram(chain: Chain) -> np.ndarray:
-    total = np.zeros((chain.n_variables, chain.n_variables))
-    for sample in chain.samples:
-        total += sample @ sample.T
-    return total / chain.n_samples
+    # sum_t L_t L_t^T is one product of the (p, T*k) unfolding with itself.
+    unfolded = chain.samples.transpose(1, 0, 2).reshape(chain.n_variables, -1)
+    return unfolded @ unfolded.T / chain.n_samples
 
 
 def covariance_discrepancy(raw: Chain, aligned: Chain) -> float:

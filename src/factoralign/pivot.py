@@ -80,25 +80,25 @@ def select_pivot(
     +inf rank-deficiency sentinel, in which case the whole chain switches to
     the largest singular value.
     """
-    svals = [singular_values(sample) for sample in chain.samples]
+    _, p, k = chain.samples.shape
+    if p < k:
+        raise ValueError(f"samples must be tall (p >= k), got shape {(p, k)}")
+    svals = np.linalg.svd(chain.samples, compute_uv=False)
+    sigma_max, sigma_min = svals[:, 0], svals[:, -1]
     if force_statistic is PivotStatistic.LARGEST_SINGULAR_VALUE:
         statistic = PivotStatistic.LARGEST_SINGULAR_VALUE
     else:
-        conds = np.array(
-            [math.inf if s[-1] <= rank_tolerance * s[0] else s[0] / s[-1] for s in svals]
-        )
+        # Rank-deficient samples divide by 1.0, since their sigma_min may be zero.
+        deficient = sigma_min <= rank_tolerance * sigma_max
+        conds = np.where(deficient, np.inf, sigma_max / np.where(deficient, 1.0, sigma_min))
         if force_statistic is PivotStatistic.CONDITION_NUMBER:
             statistic = PivotStatistic.CONDITION_NUMBER
-        elif np.mean(np.isinf(conds)) > infinite_fraction_threshold:
+        elif np.mean(deficient) > infinite_fraction_threshold:
             statistic = PivotStatistic.LARGEST_SINGULAR_VALUE
         else:
             statistic = PivotStatistic.CONDITION_NUMBER
 
-    if statistic is PivotStatistic.LARGEST_SINGULAR_VALUE:
-        stats = np.array([s[0] for s in svals])
-    else:
-        stats = conds
-
+    stats = sigma_max if statistic is PivotStatistic.LARGEST_SINGULAR_VALUE else conds
     index = _lower_median_index(stats)
     return PivotSelection(
         index=index,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Chain, SampleError, validate_loadings
-from ._parallel import parallel_map
 
 __all__ = [
     "VarimaxConfig",
@@ -163,22 +162,16 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
     )
 
 
-def orthogonalize_chain(
-    chain: Chain, config: VarimaxConfig | None = None, threads: int = 1
-) -> Chain:
+def orthogonalize_chain(chain: Chain, config: VarimaxConfig | None = None) -> Chain:
     """Apply :func:`varimax_rotate` to every sample of ``chain``.
 
-    Sample order is preserved, residual variances pass through untouched, and
-    the result does not depend on the degree of parallelism.
+    Sample order is preserved and residual variances pass through untouched.
     """
     cfg = config or VarimaxConfig()
-
-    def rotate_one(indexed: tuple[int, np.ndarray]) -> np.ndarray:
-        t, sample = indexed
+    rotated = np.empty(chain.samples.shape)
+    for t, sample in enumerate(chain.samples):
         try:
-            return varimax_rotate(sample, cfg).rotated
+            rotated[t] = varimax_rotate(sample, cfg).rotated
         except ValueError as exc:
             raise SampleError(t, str(exc)) from exc
-
-    rotated = parallel_map(rotate_one, list(enumerate(chain.samples)), threads)
-    return Chain(np.stack(rotated), chain.residual_variances)
+    return Chain(rotated, chain.residual_variances)

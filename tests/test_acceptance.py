@@ -15,6 +15,7 @@ that posterior floor.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 
@@ -160,7 +161,8 @@ def test_criterion_5_ess_regime_and_sign_switching(pipeline_dir, pipeline_report
     )
 
 
-def _median_greedy_seconds(p: int, k: int, rng, n_samples: int = 300, blocks: int = 5) -> float:
+def _greedy_block_timer(p: int, k: int, rng, n_samples: int = 300):
+    """A callable returning the median per-sample greedy time over one block."""
     pivot = rng.standard_normal((p, k))
     samples = [
         apply_signed_permutation(pivot, random_signed_permutation(k, rng))
@@ -169,34 +171,23 @@ def _median_greedy_seconds(p: int, k: int, rng, n_samples: int = 300, blocks: in
     ]
     for sample in samples[:50]:
         greedy_match(sample, pivot)
-    block_medians = []
-    for _ in range(blocks):
+
+    def block_median() -> float:
         times = []
         for sample in samples:
             t0 = time.perf_counter()
             greedy_match(sample, pivot)
             times.append(time.perf_counter() - t0)
-        block_medians.append(float(np.median(times)))
-    # scheduler noise only inflates a block; the least-disturbed block's
-    # median is the best estimate of the true per-sample median
-    return min(block_medians)
+        return float(np.median(times))
+
+    return block_median
 
 
 def test_criterion_6_complexity_scaling():
     rng = np.random.default_rng(600)
     start = time.perf_counter()
-    t_k5 = _median_greedy_seconds(100, 5, rng)
-    t_k10 = _median_greedy_seconds(100, 10, rng)
-    ratio = t_k10 / t_k5
-
-    def align_seconds(chain):
-        selection = select_pivot(chain)
-        best = np.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            align_chain(chain, selection)
-            best = min(best, time.perf_counter() - t0)
-        return best
+    block_k5 = _greedy_block_timer(100, 5, rng)
+    block_k10 = _greedy_block_timer(100, 10, rng)
 
     pivot = rng.standard_normal((100, 5))
     samples = [
@@ -204,9 +195,33 @@ def test_criterion_6_complexity_scaling():
         + 0.05 * rng.standard_normal((100, 5))
         for _ in range(800)
     ]
-    t_small = align_seconds(Chain(np.stack(samples[:400])))
-    t_double = align_seconds(Chain(np.stack(samples)))
-    linearity = t_double / (2.0 * t_small)
+    small = Chain(np.stack(samples[:400]))
+    double = Chain(np.stack(samples))
+    small_pivot, double_pivot = select_pivot(small), select_pivot(double)
+
+    def align_seconds(chain, selection) -> float:
+        t0 = time.perf_counter()
+        align_chain(chain, selection)
+        return time.perf_counter() - t0
+
+    # The two sides of each ratio are timed in alternating blocks, so a slow
+    # spell of the host inflates both; scheduler noise only inflates a block,
+    # so the least-disturbed block is the best estimate of the true cost.
+    # Collection pauses triggered by earlier tests' garbage are kept out.
+    gc.disable()
+    try:
+        k5_medians, k10_medians = [], []
+        for _ in range(5):
+            k5_medians.append(block_k5())
+            k10_medians.append(block_k10())
+        small_times, double_times = [], []
+        for _ in range(9):
+            small_times.append(align_seconds(small, small_pivot))
+            double_times.append(align_seconds(double, double_pivot))
+    finally:
+        gc.enable()
+    ratio = min(k10_medians) / min(k5_medians)
+    linearity = min(double_times) / (2.0 * min(small_times))
     elapsed = time.perf_counter() - start
     check(
         6,

@@ -259,16 +259,6 @@ def test_align_chain_report_invariants():
     assert report.permutations[sel.index] == SignedPermutation.identity(4)
 
 
-def test_align_chain_independent_of_parallelism():
-    rng = np.random.default_rng(56)
-    chain = Chain(rng.standard_normal((12, 8, 3)))
-    sel = select_pivot(chain)
-    serial, rep_s = align_chain(chain, sel, threads=1)
-    threaded, rep_t = align_chain(chain, sel, threads=4)
-    np.testing.assert_array_equal(serial.samples, threaded.samples)
-    np.testing.assert_array_equal(rep_s.losses, rep_t.losses)
-
-
 def test_align_chain_rejects_foreign_pivot():
     rng = np.random.default_rng(57)
     chain = Chain(rng.standard_normal((4, 6, 2)))

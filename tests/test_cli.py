@@ -263,18 +263,6 @@ def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
 
 
-def test_thread_resolution_precedence(monkeypatch):
-    from factoralign._parallel import resolve_threads
-
-    monkeypatch.setenv("FACTORALIGN_THREADS", "3")
-    assert resolve_threads(None) == 3
-    assert resolve_threads(5) == 5  # explicit flag beats the env var
-    monkeypatch.delenv("FACTORALIGN_THREADS")
-    assert resolve_threads(None) >= 1  # auto
-    with pytest.raises(ValueError):
-        resolve_threads(-1)
-
-
 def test_env_var_sets_threads(tmp_path, monkeypatch):
     data = simulate_small(tmp_path)
     chain_prefix = fit_small(tmp_path, data)
@@ -283,3 +271,29 @@ def test_env_var_sets_threads(tmp_path, monkeypatch):
     monkeypatch.delenv("FACTORALIGN_THREADS")
     assert run(["align", chain_prefix, "--out", tmp_path / "noenv", "--report", tmp_path / "noenv_report.json"]) == 0
     assert (tmp_path / "env.bin").read_bytes() == (tmp_path / "noenv.bin").read_bytes()
+
+
+def test_align_report_path_cannot_overwrite_chain_files(tmp_path, monkeypatch):
+    from factoralign import Chain, write_chain
+
+    monkeypatch.chdir(tmp_path)
+    write_chain("c", Chain(np.random.default_rng(92).standard_normal((4, 5, 2))))
+    inputs = {name: (tmp_path / name).read_bytes() for name in ("c.json", "c.bin")}
+    for report in ("./a.json", "a.bin", "c.json"):
+        assert run(["align", "c", "--out", "a", "--report", report]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
+        assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
+
+
+def test_align_negative_threads_exits_2(tmp_path):
+    data = simulate_small(tmp_path)
+    chain_prefix = fit_small(tmp_path, data)
+    assert run(["align", chain_prefix, "--threads", -1, "--out", tmp_path / "a"]) == 2
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_diagnose_threads_flag_is_removed(tmp_path):
+    from factoralign import Chain, write_chain
+
+    write_chain(tmp_path / "c", Chain(np.ones((4, 3, 2))))
+    assert run(["diagnose", "--aligned", tmp_path / "c", "--threads", 2, "--out", tmp_path / "d"]) == 2

@@ -4,6 +4,7 @@ import pytest
 from factoralign import (
     Chain,
     DegenerateSeriesWarning,
+    apply_signed_permutation,
     build_report,
     covariance_discrepancy,
     effective_sample_size,
@@ -11,6 +12,7 @@ from factoralign import (
     frobenius_norm,
     mean_ess_ratio,
     per_entry_ess,
+    random_signed_permutation,
 )
 
 
@@ -21,6 +23,13 @@ def ar1_series(rho, t, rng):
     for i in range(1, t):
         out[i] = rho * out[i - 1] + noise[i]
     return out
+
+
+def loop_covariance_discrepancy(raw, aligned):
+    """Per-sample reference for covariance_discrepancy."""
+    gram = sum(sample @ sample.T for sample in raw.samples) / raw.n_samples
+    mean = aligned.samples.mean(axis=0)
+    return frobenius_norm(gram - mean @ mean.T)
 
 
 def test_metric_zero_for_constant_chain():
@@ -178,3 +187,16 @@ def test_build_report_short_chain_skips_ess():
 def test_improvement_on_full_pipeline(pipeline_report):
     diag = pipeline_report["diagnostics"]
     assert diag["covariance_discrepancy_aligned"] <= 0.1 * diag["covariance_discrepancy_raw"]
+
+
+def test_metric_matches_per_sample_loop():
+    rng = np.random.default_rng(75)
+    raw = Chain(rng.standard_normal((40, 7, 3)))
+    aligned = Chain(
+        np.stack(
+            [apply_signed_permutation(s, random_signed_permutation(3, rng)) for s in raw.samples]
+        )
+    )
+    for reference, target in ((raw, raw), (raw, aligned), (aligned, raw)):
+        expected = loop_covariance_discrepancy(reference, target)
+        assert covariance_discrepancy(reference, target) == pytest.approx(expected, rel=1e-12)

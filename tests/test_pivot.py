@@ -152,3 +152,31 @@ def test_select_pivot_statistic_is_lower_median():
     t = len(sel.statistics)
     assert np.sum(sel.statistics <= value) >= (t + 1) // 2
     assert np.sum(sel.statistics >= value) >= t - (t + 1) // 2 + 1
+
+
+def test_select_pivot_statistics_equal_per_sample_values():
+    # The stacked SVD must reproduce the per-sample functions bit for bit,
+    # including the +inf sentinel for a rank-deficient sample.
+    rng = np.random.default_rng(35)
+    col = rng.standard_normal(6)
+    deficient = np.column_stack([col, col, rng.standard_normal(6)])
+    samples = np.concatenate([rng.standard_normal((11, 6, 3)), deficient[None]])
+    chain = Chain(samples)
+    sel = select_pivot(chain)
+    assert sel.statistic_used is PivotStatistic.CONDITION_NUMBER
+    assert sel.statistics[-1] == math.inf
+    np.testing.assert_array_equal(sel.statistics, [condition_number(s) for s in samples])
+
+    # Two deficient samples of five trigger the sigma-max fallback.
+    fallback = Chain(np.concatenate([samples[:3], deficient[None], deficient[None]]))
+    sel = select_pivot(fallback)
+    assert sel.statistic_used is PivotStatistic.LARGEST_SINGULAR_VALUE
+    np.testing.assert_array_equal(
+        sel.statistics, [singular_values(s)[0] for s in fallback.samples]
+    )
+
+
+def test_select_pivot_rejects_wide_chain():
+    chain = Chain(np.random.default_rng(36).standard_normal((3, 2, 3)))
+    with pytest.raises(ValueError, match="tall"):
+        select_pivot(chain)

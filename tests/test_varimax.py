@@ -169,14 +169,6 @@ def test_orthogonalize_chain_collapses_rotation_orbit():
             assert match_loss(outs[i], sp, outs[j]) <= 1e-6
 
 
-def test_orthogonalize_chain_independent_of_parallelism():
-    rng = np.random.default_rng(22)
-    chain = Chain(rng.standard_normal((10, 12, 4)))
-    serial = orthogonalize_chain(chain, threads=1)
-    threaded = orthogonalize_chain(chain, threads=4)
-    np.testing.assert_array_equal(serial.samples, threaded.samples)
-
-
 def test_orthogonalize_chain_reports_failing_sample_index():
     samples = np.ones((3, 4, 2))
     chain = Chain(samples)
