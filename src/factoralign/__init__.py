@@ -39,7 +39,6 @@ from .core import (
 )
 from .diagnostics import (
     DegenerateSeriesWarning,
-    DiagnosticsReport,
     build_report,
     covariance_discrepancy,
     effective_sample_size,
@@ -81,7 +80,6 @@ __all__ = [
     "Chain",
     "ChainFileManifest",
     "DegenerateSeriesWarning",
-    "DiagnosticsReport",
     "FileFormatError",
     "GeneratorConfig",
     "MatchConfig",

@@ -10,6 +10,7 @@ so write -> read -> write round-trips byte-identically.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -61,7 +62,13 @@ def chain_paths(base) -> tuple[Path, Path]:
 
 
 def write_chain(base, chain: Chain, seed_provenance: str | None = None) -> ChainFileManifest:
-    """Write ``chain`` as a manifest/payload pair at ``<base>.json`` / ``<base>.bin``."""
+    """Write ``chain`` as a manifest/payload pair at ``<base>.json`` / ``<base>.bin``.
+
+    Both go to temporary files first, then replace the old files payload first,
+    so a failure while the temporary files are written leaves the old chain
+    whole.  A failure between the two replaces is not covered: it leaves the
+    new payload beside the old manifest.
+    """
     manifest_path, payload_path = chain_paths(base)
     manifest = ChainFileManifest(
         format_version=FORMAT_VERSION,
@@ -73,13 +80,22 @@ def write_chain(base, chain: Chain, seed_provenance: str | None = None) -> Chain
         has_residual_variances=chain.residual_variances is not None,
         seed_provenance=seed_provenance,
     )
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
     # transpose(0, 2, 1) then C-ravel emits each sample in column-major order
     payload = np.ascontiguousarray(chain.samples.transpose(0, 2, 1)).astype("<f8").tobytes()
     if chain.residual_variances is not None:
         payload += np.ascontiguousarray(chain.residual_variances).astype("<f8").tobytes()
-    payload_path.write_bytes(payload)
+    manifest_text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for path, data in ((payload_path, payload), (manifest_path, manifest_text.encode())):
+            staged.append((path.with_name(f".{path.name}.{os.getpid()}.tmp"), path))
+            staged[-1][0].write_bytes(data)
+        for temporary, path in staged:
+            os.replace(temporary, path)
+    finally:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
     return manifest
 
 

@@ -28,14 +28,7 @@ from .align import (
     match_loss,
 )
 from .core import Chain, random_signed_permutation
-from .diagnostics import (
-    MIN_SERIES_LENGTH,
-    build_report,
-    covariance_discrepancy,
-    export_traces,
-    mean_ess_ratio,
-    per_entry_ess,
-)
+from .diagnostics import build_report, export_traces
 from .factor_model import (
     GeneratorConfig,
     NumericalError,
@@ -213,18 +206,8 @@ def _cmd_align(args) -> int:
 
     chainio.write_chain(args.out, aligned, seed_provenance=f"align {args.chain}")
 
-    diagnostics = build_report(raw_chain, aligned, elapsed_align_seconds=elapsed)
-    diag: dict = {
-        "covariance_discrepancy_aligned": diagnostics.covariance_discrepancy,
-        "covariance_discrepancy_raw": covariance_discrepancy(raw_chain, raw_chain),
-        "mean_ess_ratio_aligned": diagnostics.mean_ess_ratio,
-        "mean_ess_ratio_raw": (
-            mean_ess_ratio(raw_chain) if raw_chain.n_samples >= MIN_SERIES_LENGTH else None
-        ),
-        "per_entry_ess_aligned": (
-            diagnostics.per_entry_ess.tolist() if diagnostics.per_entry_ess is not None else None
-        ),
-    }
+    diagnostics = build_report(raw_chain, aligned)
+    del diagnostics["per_entry_ess_raw"]
     payload = {
         "subcommand": "align",
         "alignment": {
@@ -237,8 +220,8 @@ def _cmd_align(args) -> int:
             "losses": report.losses.tolist(),
             "permutations": _permutation_payload(report),
         },
-        "diagnostics": diag,
-        "timings": {"elapsed_align_seconds": diagnostics.elapsed_align_seconds},
+        "diagnostics": diagnostics,
+        "timings": {"elapsed_align_seconds": elapsed},
     }
     chainio.write_report(report_path, payload)
     print(f"wrote {args.out}.json/.bin and {report_path}")
@@ -261,28 +244,7 @@ def _cmd_diagnose(args) -> int:
     raw = chainio.read_chain(args.raw)[0] if args.raw else None
     aligned = chainio.read_chain(args.aligned)[0] if args.aligned else None
 
-    payload: dict = {
-        "subcommand": "diagnose",
-        "covariance_discrepancy_raw": None,
-        "covariance_discrepancy_aligned": None,
-        "mean_ess_ratio_raw": None,
-        "mean_ess_ratio_aligned": None,
-        "per_entry_ess_raw": None,
-        "per_entry_ess_aligned": None,
-        "traces_file": None,
-    }
-    if raw is not None:
-        payload["covariance_discrepancy_raw"] = covariance_discrepancy(raw, raw)
-        if raw.n_samples >= MIN_SERIES_LENGTH:
-            payload["mean_ess_ratio_raw"] = mean_ess_ratio(raw)
-            payload["per_entry_ess_raw"] = per_entry_ess(raw).tolist()
-    if aligned is not None:
-        reference = raw if raw is not None else aligned
-        payload["covariance_discrepancy_aligned"] = covariance_discrepancy(reference, aligned)
-        if aligned.n_samples >= MIN_SERIES_LENGTH:
-            payload["mean_ess_ratio_aligned"] = mean_ess_ratio(aligned)
-            payload["per_entry_ess_aligned"] = per_entry_ess(aligned).tolist()
-
+    payload = {"subcommand": "diagnose", **build_report(raw, aligned), "traces_file": None}
     if args.traces:
         entries = _parse_trace_entries(args.traces)
         source = aligned if aligned is not None else raw

@@ -3,12 +3,14 @@
 The covariance metric compares the posterior mean of L L^T (invariant under
 alignment) with the same quantity rebuilt from the mean of the aligned
 samples; a misaligned chain averages incompatible rotations and inflates it.
+The ESS estimator runs as one array pass over every loading-entry series of a
+chain.  ``build_report`` is the one place that turns a raw and an aligned
+chain into these fields, for both the ``align`` and the ``diagnose`` report.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +18,6 @@ from .core import Chain, frobenius_norm
 
 __all__ = [
     "DegenerateSeriesWarning",
-    "DiagnosticsReport",
     "build_report",
     "covariance_discrepancy",
     "effective_sample_size",
@@ -36,34 +37,28 @@ class DegenerateSeriesWarning(UserWarning):
     """Raised for (numerically) constant series, whose ESS is reported as T."""
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Alignment-quality summary; ESS fields are None for chains shorter than
-    the ESS minimum length."""
+def build_report(raw: Chain | None, aligned: Chain | None) -> dict:
+    """The covariance and ESS report fields of a raw and an aligned chain.
 
-    covariance_discrepancy: float
-    mean_ess_ratio: float | None
-    per_entry_ess: np.ndarray | None
-    elapsed_align_seconds: float
-
-
-def build_report(
-    raw: Chain, aligned: Chain, elapsed_align_seconds: float = float("nan")
-) -> DiagnosticsReport:
-    """Assemble the standard diagnostics for an aligned chain."""
-    metric = covariance_discrepancy(raw, aligned)
-    if aligned.n_samples >= MIN_SERIES_LENGTH:
-        ess = per_entry_ess(aligned)
-        ratio = float(np.mean(ess)) / aligned.n_samples
-    else:
-        ess = None
-        ratio = None
-    return DiagnosticsReport(
-        covariance_discrepancy=metric,
-        mean_ess_ratio=ratio,
-        per_entry_ess=ess,
-        elapsed_align_seconds=elapsed_align_seconds,
-    )
+    Returns ``covariance_discrepancy_{raw,aligned}``, ``mean_ess_ratio_{raw,
+    aligned}`` and ``per_entry_ess_{raw,aligned}`` (nested lists), each None
+    when its chain is missing; the ESS fields are also None for chains
+    shorter than ``MIN_SERIES_LENGTH``.  Without a raw chain the aligned chain
+    is its own covariance reference.
+    """
+    report = {}
+    for name, chain in (("raw", raw), ("aligned", aligned)):
+        reference = raw if raw is not None else chain
+        report[f"covariance_discrepancy_{name}"] = (
+            None if chain is None else covariance_discrepancy(reference, chain)
+        )
+        if chain is None or chain.n_samples < MIN_SERIES_LENGTH:
+            report[f"mean_ess_ratio_{name}"] = report[f"per_entry_ess_{name}"] = None
+        else:
+            ess = per_entry_ess(chain)
+            report[f"mean_ess_ratio_{name}"] = float(np.mean(ess)) / chain.n_samples
+            report[f"per_entry_ess_{name}"] = ess.tolist()
+    return report
 
 
 def _mean_gram(chain: Chain) -> np.ndarray:
@@ -106,61 +101,64 @@ def effective_sample_size(series, cap_ratio: float = ESS_CAP_RATIO) -> float:
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"series must be 1-dimensional, got shape {x.shape}")
-    t = x.shape[0]
-    if t < MIN_SERIES_LENGTH:
-        raise ValueError(f"series must have at least {MIN_SERIES_LENGTH} points, got {t}")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
-
-    centered = x - x.mean()
-    gamma0 = float(centered @ centered) / t
-    if gamma0 == 0.0:
+    ess, constant = _ess_rows(x[None, :], cap_ratio)
+    if constant[0]:
         warnings.warn(
             "constant series: effective sample size reported as the series length",
             DegenerateSeriesWarning,
             stacklevel=2,
         )
-        return float(t)
+    return float(ess[0])
 
-    def rho(lag: int) -> float:
-        if lag >= t:
-            return 0.0
-        return float(centered[: t - lag] @ centered[lag:]) / t / gamma0
 
-    pair_sum_total = 0.0
-    i = 0
-    while 2 * i < t:
-        pair = rho(2 * i) + rho(2 * i + 1)
-        if pair <= 0.0:
-            break
-        pair_sum_total += pair
-        i += 1
-    tau = 2.0 * pair_sum_total - 1.0
-    tau = max(tau, 1.0 / cap_ratio)
-    return min(float(t) / tau, cap_ratio * t)
+def _ess_rows(rows: np.ndarray, cap_ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """ESS of every row of an (m, T) array of series, and which rows are constant.
+
+    Each row takes the same dot products, in the same order, as a scalar
+    series would; a row leaves the working set at its first non-positive
+    autocorrelation pair, and the set is compacted only when rows leave it.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    t = rows.shape[1]
+    if t < MIN_SERIES_LENGTH:
+        raise ValueError(f"series must have at least {MIN_SERIES_LENGTH} points, got {t}")
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    gamma0 = np.vecdot(centered, centered) / t
+    constant = gamma0 == 0.0
+    pair_sums = np.zeros(len(rows))
+    active = np.flatnonzero(~constant)
+    work, work_gamma0 = centered[active], gamma0[active]
+    lag = 0
+    while active.size and lag < t:
+        # at lag + 1 == T both slices are empty, so that product is 0
+        pair = (
+            np.vecdot(work[:, : t - lag], work[:, lag:]) / t / work_gamma0
+            + np.vecdot(work[:, : t - lag - 1], work[:, lag + 1 :]) / t / work_gamma0
+        )
+        positive = pair > 0.0
+        pair_sums[active[positive]] += pair[positive]
+        if not positive.all():
+            active, work, work_gamma0 = active[positive], work[positive], work_gamma0[positive]
+        lag += 2
+    tau = np.maximum(2.0 * pair_sums - 1.0, 1.0 / cap_ratio)
+    ess = np.minimum(t / tau, cap_ratio * t)
+    return np.where(constant, float(t), ess), constant
 
 
 def mean_ess_ratio(chain: Chain) -> float:
     """Mean over all loading entries of ESS divided by the number of samples."""
-    t = chain.n_samples
-    if t < MIN_SERIES_LENGTH:
-        raise ValueError(f"chain must have at least {MIN_SERIES_LENGTH} samples, got {t}")
-    return float(np.mean(per_entry_ess(chain))) / t
+    return float(np.mean(per_entry_ess(chain))) / chain.n_samples
 
 
 def per_entry_ess(chain: Chain) -> np.ndarray:
-    """ESS of every loading-entry series, as a (p, k) matrix."""
-    t = chain.n_samples
-    if t < MIN_SERIES_LENGTH:
-        raise ValueError(f"chain must have at least {MIN_SERIES_LENGTH} samples, got {t}")
-    p, k = chain.n_variables, chain.n_factors
-    out = np.empty((p, k))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSeriesWarning)
-        for i in range(p):
-            for j in range(k):
-                out[i, j] = effective_sample_size(chain.samples[:, i, j])
-    return out
+    """ESS of every loading-entry series, as a (p, k) matrix.
+
+    Constant entries get ESS T without a warning.
+    """
+    ess, _ = _ess_rows(chain.samples.reshape(chain.n_samples, -1).T, ESS_CAP_RATIO)
+    return ess.reshape(chain.n_variables, chain.n_factors)
 
 
 def export_traces(chain: Chain, entries: list[tuple[int, int]]) -> np.ndarray:

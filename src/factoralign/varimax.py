@@ -9,6 +9,7 @@ is a bitwise no-op).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,8 @@ __all__ = [
     "varimax_criterion",
     "varimax_rotate",
 ]
+
+logger = logging.getLogger(__name__)
 
 _TINY = 1e-300
 
@@ -166,12 +169,25 @@ def orthogonalize_chain(chain: Chain, config: VarimaxConfig | None = None) -> Ch
     """Apply :func:`varimax_rotate` to every sample of ``chain``.
 
     Sample order is preserved and residual variances pass through untouched.
+    Samples that hit ``max_iterations`` are kept and named in one warning.
     """
     cfg = config or VarimaxConfig()
     rotated = np.empty(chain.samples.shape)
+    unconverged = []
     for t, sample in enumerate(chain.samples):
         try:
-            rotated[t] = varimax_rotate(sample, cfg).rotated
+            result = varimax_rotate(sample, cfg)
         except ValueError as exc:
             raise SampleError(t, str(exc)) from exc
+        rotated[t] = result.rotated
+        if not result.converged:
+            unconverged.append(t)
+    if unconverged:
+        logger.warning(
+            "varimax did not converge within %d sweeps for %d of %d samples; first: %s",
+            cfg.max_iterations,
+            len(unconverged),
+            chain.n_samples,
+            unconverged[:5],
+        )
     return Chain(rotated, chain.residual_variances)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,27 @@ def test_chain_write_read_write_byte_identical(tmp_path, chain):
     write_chain(second, loaded)
     assert (first.with_suffix(".bin")).read_bytes() == (second.with_suffix(".bin")).read_bytes()
     assert (first.with_suffix(".json")).read_text() == (second.with_suffix(".json")).read_text()
+
+
+def test_failed_payload_write_keeps_old_chain(tmp_path, chain, monkeypatch):
+    base = tmp_path / "chain"
+    write_chain(base, chain)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    write_bytes = Path.write_bytes
+
+    def fail_payload(path, data):
+        if ".bin" in path.name:
+            write_bytes(path, data[:8])
+            raise OSError("no space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", fail_payload)
+    with pytest.raises(OSError, match="no space"):
+        write_chain(base, Chain(np.ones((2, 4, 1))))
+    monkeypatch.undo()
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    loaded, _ = read_chain(base)
+    np.testing.assert_array_equal(loaded.samples, chain.samples)
 
 
 def test_chain_without_residual_variances(tmp_path):

@@ -127,6 +127,38 @@ def test_align_produces_chain_and_report(tmp_path):
     assert "elapsed_align_seconds" in report["timings"]
 
 
+def test_align_and_diagnose_share_diagnostics(tmp_path, monkeypatch):
+    from factoralign import cli as cli_module
+    from factoralign import diagnostics
+
+    data = simulate_small(tmp_path)
+    chain_prefix = fit_small(tmp_path, data)
+    assert run(["align", chain_prefix, "--out", tmp_path / "a", "--report", tmp_path / "rep.json"]) == 0
+    calls = []
+    original = diagnostics.per_entry_ess
+
+    def counted(chain):
+        calls.append(chain.n_samples)
+        return original(chain)
+
+    for module in (diagnostics, cli_module):
+        if getattr(module, "per_entry_ess", None) is original:
+            monkeypatch.setattr(module, "per_entry_ess", counted)
+    code = run(["diagnose", "--raw", chain_prefix, "--aligned", tmp_path / "a", "--out", tmp_path / "d"])
+    assert code == 0
+    assert calls == [40, 40]  # once per chain
+    align_diag = json.loads((tmp_path / "rep.json").read_text())["diagnostics"]
+    diagnose_report = json.loads((tmp_path / "d_report.json").read_text())
+    assert sorted(align_diag) == [
+        "covariance_discrepancy_aligned",
+        "covariance_discrepancy_raw",
+        "mean_ess_ratio_aligned",
+        "mean_ess_ratio_raw",
+        "per_entry_ess_aligned",
+    ]
+    assert align_diag == {key: diagnose_report[key] for key in align_diag}
+
+
 def test_align_is_idempotent(tmp_path):
     data = simulate_small(tmp_path)
     chain_prefix = fit_small(tmp_path, data)

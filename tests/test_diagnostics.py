@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factoralign import (
     Chain,
@@ -23,6 +27,32 @@ def ar1_series(rho, t, rng):
     for i in range(1, t):
         out[i] = rho * out[i - 1] + noise[i]
     return out
+
+
+def loop_effective_sample_size(x, cap_ratio=10.0):
+    """Per-series reference for effective_sample_size: one `@` product per lag."""
+    t = x.shape[0]
+    centered = x - x.mean()
+    gamma0 = float(centered @ centered) / t
+    if gamma0 == 0.0:
+        return float(t)
+
+    def rho(lag):
+        if lag >= t:
+            return 0.0
+        return float(centered[: t - lag] @ centered[lag:]) / t / gamma0
+
+    pair_sum_total = 0.0
+    i = 0
+    while 2 * i < t:
+        pair = rho(2 * i) + rho(2 * i + 1)
+        if pair <= 0.0:
+            break
+        pair_sum_total += pair
+        i += 1
+    tau = 2.0 * pair_sum_total - 1.0
+    tau = max(tau, 1.0 / cap_ratio)
+    return min(float(t) / tau, cap_ratio * t)
 
 
 def loop_covariance_discrepancy(raw, aligned):
@@ -167,21 +197,42 @@ def test_export_traces_out_of_range():
         export_traces(chain, [(0, 2)])
 
 
+REPORT_KEYS = {
+    "covariance_discrepancy_raw",
+    "covariance_discrepancy_aligned",
+    "mean_ess_ratio_raw",
+    "mean_ess_ratio_aligned",
+    "per_entry_ess_raw",
+    "per_entry_ess_aligned",
+}
+
+
 def test_build_report_long_chain():
     rng = np.random.default_rng(79)
     chain = Chain(rng.standard_normal((200, 3, 2)))
-    report = build_report(chain, chain, elapsed_align_seconds=1.5)
-    assert report.covariance_discrepancy >= 0.0
-    assert 0.0 < report.mean_ess_ratio <= 10.0
-    assert report.per_entry_ess.shape == (3, 2)
-    assert report.elapsed_align_seconds == 1.5
+    report = build_report(chain, chain)
+    assert set(report) == REPORT_KEYS
+    assert report["covariance_discrepancy_aligned"] >= 0.0
+    assert report["covariance_discrepancy_raw"] == report["covariance_discrepancy_aligned"]
+    assert 0.0 < report["mean_ess_ratio_aligned"] <= 10.0
+    assert np.shape(report["per_entry_ess_aligned"]) == (3, 2)
+    assert report["per_entry_ess_raw"] == report["per_entry_ess_aligned"]
+    # without a raw chain the aligned chain is its own covariance reference
+    aligned_only = build_report(None, chain)
+    assert aligned_only["covariance_discrepancy_raw"] is None
+    assert aligned_only["mean_ess_ratio_raw"] is None
+    assert aligned_only["per_entry_ess_raw"] is None
+    for key in ("covariance_discrepancy_aligned", "mean_ess_ratio_aligned", "per_entry_ess_aligned"):
+        assert aligned_only[key] == report[key]
 
 
 def test_build_report_short_chain_skips_ess():
     chain = Chain(np.ones((3, 4, 2)))
     report = build_report(chain, chain)
-    assert report.mean_ess_ratio is None
-    assert report.per_entry_ess is None
+    assert set(report) == REPORT_KEYS
+    assert report["covariance_discrepancy_aligned"] == pytest.approx(0.0, abs=1e-12)
+    for key in ("mean_ess_ratio_raw", "mean_ess_ratio_aligned", "per_entry_ess_raw", "per_entry_ess_aligned"):
+        assert report[key] is None
 
 
 def test_improvement_on_full_pipeline(pipeline_report):
@@ -200,3 +251,29 @@ def test_metric_matches_per_sample_loop():
     for reference, target in ((raw, raw), (raw, aligned), (aligned, raw)):
         expected = loop_covariance_discrepancy(reference, target)
         assert covariance_discrepancy(reference, target) == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), t=st.integers(10, 300), rho=st.floats(-0.9, 0.99))
+def test_ess_equals_per_series_loop(seed, t, rho):
+    rng = np.random.default_rng(seed)
+    alternating = np.tile([1.0, -1.0], t)[:t]
+    columns = [
+        np.full(t, 1.5),
+        alternating,
+        ar1_series(rho, t, rng),
+        ar1_series(0.95, t, rng),
+        rng.standard_normal(t),
+        np.cumsum(rng.standard_normal(t)),
+    ]
+    chain = Chain(np.stack(columns, axis=1).reshape(t, 3, 2))
+    series = chain.samples.reshape(t, -1).T
+    expected = np.array([loop_effective_sample_size(x) for x in series])
+    # the alternating series keeps every pair positive up to lag T - 1 and
+    # ends at the 10 T cap
+    assert expected[1] == 10.0 * t
+    assert np.array_equal(per_entry_ess(chain).ravel(), expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSeriesWarning)
+        scalar = np.array([effective_sample_size(x) for x in series])
+    assert np.array_equal(scalar, expected)

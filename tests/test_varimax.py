@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,20 @@ def test_non_convergence_is_flagged_not_raised():
     assert not res.converged
     assert res.iterations == 1
     assert np.abs(res.rotation.T @ res.rotation - np.eye(5)).max() <= 1e-10
+
+
+def test_orthogonalize_chain_warns_on_non_convergence(caplog):
+    chain = Chain(np.random.default_rng(24).standard_normal((20, 12, 4)))
+    with caplog.at_level(logging.WARNING, logger="factoralign.varimax"):
+        orthogonalize_chain(chain, VarimaxConfig(max_iterations=1))
+    assert len(caplog.records) == 1
+    message = caplog.records[0].getMessage()
+    assert "20 of 20 samples" in message
+    assert "[0, 1, 2, 3, 4]" in message
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="factoralign.varimax"):
+        orthogonalize_chain(chain)
+    assert caplog.records == []
 
 
 def test_config_validation():
