@@ -17,12 +17,14 @@ import numpy as np
 from .core import Chain, frobenius_norm
 
 __all__ = [
+    "MIN_SERIES_LENGTH",
     "DegenerateSeriesWarning",
     "build_report",
     "covariance_discrepancy",
     "effective_sample_size",
     "mean_ess_ratio",
     "export_traces",
+    "per_entry_ess",
 ]
 
 MIN_SERIES_LENGTH = 10

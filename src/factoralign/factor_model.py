@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .core import Chain
 
@@ -180,12 +179,48 @@ def center_columns(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return data - means, means
 
 
+def _cholesky(precision: np.ndarray, what: str, iteration: int) -> np.ndarray:
+    """Lower Cholesky factor of a (k, k) precision, or of every matrix in a (p, k, k) stack.
+
+    ``np.linalg.cholesky`` returns NaN for non-finite input instead of
+    raising, so finiteness is checked first.  Either failure raises
+    NumericalError naming the iteration and, for a stack, the lowest failing
+    row.
+    """
+    where = f"{what} precision at iteration {iteration}"
+    finite = np.isfinite(precision).all(axis=(-2, -1))
+    if not finite.all():
+        row = f", row {np.argmin(finite)}" if precision.ndim == 3 else ""
+        raise NumericalError(f"{where}{row} is not finite")
+    try:
+        return np.linalg.cholesky(precision)
+    except np.linalg.LinAlgError as exc:
+        row = f", row {_lowest_failing_row(precision)}" if precision.ndim == 3 else ""
+        raise NumericalError(f"{where}{row} is not positive definite") from exc
+
+
+def _lowest_failing_row(stack: np.ndarray) -> int:
+    """Index of the first matrix in a stack that Cholesky rejects, by bisecting over prefixes."""
+    lo, hi = 0, len(stack) - 1  # the stack fails as a whole, so some row in [lo, hi] fails
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(stack[lo : mid + 1])
+            lo = mid + 1
+        except np.linalg.LinAlgError:
+            hi = mid
+    return lo
+
+
 def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
     """Blocked conjugate Gibbs sampler returning the post-burn-in loadings chain.
 
-    Per iteration: factors given loadings and variances, loadings row by row
-    given factors and variances, then residual variances.  Columns of ``data``
-    are centered internally.  The chain carries the residual-variance draws.
+    Per iteration: factors given loadings and variances, all loading rows at
+    once given factors and variances, then residual variances.  Columns of
+    ``data`` are centered internally.  The chain carries the residual-variance
+    draws.  A non-finite or non-positive-definite posterior precision, or a
+    non-finite residual-variance rate, raises NumericalError naming the
+    iteration (and, for a loading row, the row).
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -214,38 +249,36 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
     variance_draws = np.empty((kept, p))
 
     for iteration in range(cfg.iterations):
-        # (a) factors | loadings, variances
+        # (a) factors | loadings, variances.  Row i is C^{-T}(C^{-1} b_i + z_i)
+        # with C C^T = I + Lambda^T Sigma^{-1} Lambda; for n rows, products
+        # with C^{-1} are cheaper than LU solves.
         weighted = state.loadings / state.residual_variances[:, None]
-        precision = eye_k + state.loadings.T @ weighted
-        try:
-            chol = cholesky(precision, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"factor-update precision factorization failed at iteration {iteration}"
-            ) from exc
-        mean = cho_solve((chol, True), (centered @ weighted).T).T
+        chol_inv = np.linalg.inv(
+            _cholesky(eye_k + state.loadings.T @ weighted, "factor-update", iteration)
+        )
         z = rng.standard_normal((n, k))
-        state.factors = mean + solve_triangular(chol.T, z.T, lower=False).T
+        state.factors = ((centered @ weighted) @ chol_inv.T + z) @ chol_inv
 
-        # (b) loadings rows | factors, variances
+        # (b) loadings | factors, variances, all p rows at once.  Row j is
+        # C_j^{-T}(C_j^{-1} b_j + z_j) with C_j C_j^T = prior + F^T F / sigma_j.
         gram = state.factors.T @ state.factors
-        projections = state.factors.T @ centered
-        for j in range(p):
-            row_precision = prior_precision + gram / state.residual_variances[j]
-            try:
-                row_chol = cholesky(row_precision, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"loading-row precision factorization failed at iteration {iteration}, row {j}"
-                ) from exc
-            row_mean = cho_solve((row_chol, True), projections[:, j] / state.residual_variances[j])
-            state.loadings[j] = row_mean + solve_triangular(
-                row_chol.T, rng.standard_normal(k), lower=False
-            )
+        row_chol = _cholesky(
+            prior_precision + gram / state.residual_variances[:, None, None],
+            "loading-row",
+            iteration,
+        )
+        scaled_projections = (state.factors.T @ centered).T / state.residual_variances[:, None]
+        z = rng.standard_normal((p, k))
+        state.loadings = np.linalg.solve(
+            row_chol.transpose(0, 2, 1),
+            np.linalg.solve(row_chol, scaled_projections[:, :, None]) + z[:, :, None],
+        )[:, :, 0]
 
         # (c) residual variances | loadings, factors
         residuals = centered - state.factors @ state.loadings.T
         rates = cfg.prior_residual_rate + 0.5 * np.sum(residuals * residuals, axis=0)
+        if not np.isfinite(rates).all():
+            raise NumericalError(f"residual-variance rate is not finite at iteration {iteration}")
         state.residual_variances = _draw_inverse_gamma(rng, shape_post, rates, size=p)
 
         if iteration >= cfg.burn_in:

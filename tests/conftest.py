@@ -1,7 +1,8 @@
 """Shared fixtures: helpers plus the one expensive end-to-end pipeline run.
 
-The sparse p=50, k=5 pipeline (simulate, fit 6000/1000, align with 1 and 8
-workers, diagnose) is executed once per session through the CLI; the
+The sparse p=50, k=5 pipeline (simulate, fit 6000/1000, align twice with
+``--threads 1`` and ``--threads 8``, which has no effect and so must give the
+same artifacts, diagnose) is executed once per session through the CLI; the
 acceptance criteria and the CLI-level checks all read its artifacts.
 """
 

@@ -109,6 +109,17 @@ def test_fit_numeric_failure_exits_4(tmp_path, monkeypatch):
     assert run(["fit", f"{data}.csv", "--k", 3, "--out", tmp_path / "c"]) == 4
 
 
+def test_fit_overflowing_data_exits_4_naming_the_iteration(tmp_path, capsys):
+    from factoralign import write_dataset
+
+    data = simulate_small(tmp_path, n=30, p=7, k=2)
+    write_dataset(tmp_path / "huge.csv", read_dataset(f"{data}.csv") * 1e200)
+    with np.errstate(over="ignore"):
+        code = run(["fit", tmp_path / "huge.csv", "--k", 2, "--iterations", 5, "--burn-in", 1, "--out", tmp_path / "c"])
+    assert code == 4
+    assert "iteration 0" in capsys.readouterr().err
+
+
 def test_align_produces_chain_and_report(tmp_path):
     data = simulate_small(tmp_path)
     chain_prefix = fit_small(tmp_path, data)

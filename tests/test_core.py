@@ -1,8 +1,13 @@
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import factoralign
 from factoralign import (
     Chain,
     SignedPermutation,
@@ -12,6 +17,25 @@ from factoralign import (
     frobenius_norm,
     random_signed_permutation,
 )
+
+
+def test_package_reexports_are_in_submodule_all():
+    # every public name the package imports from a submodule is also public there
+    tree = ast.parse(Path(factoralign.__file__).read_text())
+    reexports = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name in factoralign.__all__
+    ]
+    assert len(reexports) == len(factoralign.__all__)
+    missing = [
+        (module, name)
+        for module, name in reexports
+        if name not in importlib.import_module(f"factoralign.{module}").__all__
+    ]
+    assert missing == []
 
 
 def test_frobenius_norm_zero_matrix():

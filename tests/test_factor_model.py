@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from factoralign import (
+    Chain,
     GeneratorConfig,
+    NumericalError,
     SamplerConfig,
     Scenario,
     frobenius_norm,
@@ -12,7 +15,47 @@ from factoralign import (
     gibbs_sample,
     validate_identifiability,
 )
-from factoralign.factor_model import block_sizes, center_columns
+from factoralign.factor_model import _cholesky, _draw_inverse_gamma, block_sizes, center_columns
+
+
+def loop_gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
+    """Reference sampler: the loadings drawn one row at a time with scipy.
+
+    Same conditionals and random stream as ``gibbs_sample``; only the
+    factorizations and solves are per row, so the two chains differ by
+    rounding alone.
+    """
+    centered, _ = center_columns(np.asarray(data, dtype=np.float64))
+    n, p = centered.shape
+    rng = np.random.default_rng(cfg.seed)
+    loadings = rng.standard_normal((p, k))
+    variances = np.ones(p)
+    prior_precision = np.eye(k) / cfg.prior_loading_variance
+    shape_post = cfg.prior_residual_shape + 0.5 * n
+    loadings_draws, variance_draws = [], []
+    for iteration in range(cfg.iterations):
+        weighted = loadings / variances[:, None]
+        chol = cholesky(np.eye(k) + loadings.T @ weighted, lower=True)
+        mean = cho_solve((chol, True), (centered @ weighted).T).T
+        z = rng.standard_normal((n, k))
+        factors = mean + solve_triangular(chol.T, z.T, lower=False).T
+
+        gram = factors.T @ factors
+        projections = factors.T @ centered
+        for j in range(p):
+            row_chol = cholesky(prior_precision + gram / variances[j], lower=True)
+            row_mean = cho_solve((row_chol, True), projections[:, j] / variances[j])
+            loadings[j] = row_mean + solve_triangular(
+                row_chol.T, rng.standard_normal(k), lower=False
+            )
+
+        residuals = centered - factors @ loadings.T
+        rates = cfg.prior_residual_rate + 0.5 * np.sum(residuals * residuals, axis=0)
+        variances = _draw_inverse_gamma(rng, shape_post, rates, size=p)
+        if iteration >= cfg.burn_in:
+            loadings_draws.append(loadings.copy())
+            variance_draws.append(variances)
+    return Chain(np.array(loadings_draws), np.array(variance_draws))
 
 
 def test_identifiability_rule():
@@ -101,8 +144,6 @@ def test_inverse_gamma_parameterization():
     # shape/rate convention: InvGamma(a, b) has mean b/(a-1) and variance
     # b^2 / ((a-1)^2 (a-2)); pin it so the (1/2, 1/2) defaults mean what the
     # generators and sampler assume
-    from factoralign.factor_model import _draw_inverse_gamma
-
     rng = np.random.default_rng(61)
     draws = _draw_inverse_gamma(rng, 5.0, 8.0, size=200_000)
     assert draws.mean() == pytest.approx(8.0 / 4.0, rel=0.02)
@@ -132,6 +173,51 @@ def test_gibbs_reproducible():
     b = gibbs_sample(ds.X, scfg, k=2)
     np.testing.assert_array_equal(a.samples, b.samples)
     np.testing.assert_array_equal(a.residual_variances, b.residual_variances)
+
+
+@pytest.mark.parametrize(
+    ("n", "p", "k", "scenario"),
+    [
+        (40, 6, 1, Scenario.INDEPENDENT),  # k = 1
+        (60, 7, 3, Scenario.SPARSE),  # boundary p = 2k + 1
+        (500, 50, 5, Scenario.SPARSE),  # the paper's shape
+    ],
+)
+def test_gibbs_equals_per_row_loop(n, p, k, scenario):
+    ds = generate_dataset(GeneratorConfig(n=n, p=p, k=k, scenario=scenario, seed=p + k))
+    scfg = SamplerConfig(iterations=120, burn_in=20, prior_loading_variance=0.5, seed=7)
+    batched = gibbs_sample(ds.X, scfg, k=k)
+    oracle = loop_gibbs_sample(ds.X, scfg, k=k)
+    # rounding only: the atol covers loadings near zero, whose relative error
+    # is not bounded by that of the chain
+    np.testing.assert_allclose(batched.samples, oracle.samples, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(batched.residual_variances, oracle.residual_variances, rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    ("scale", "message"),
+    [
+        # F^T F overflows in the first loading update
+        (1e200, r"loading-row precision at iteration 0, row 0 is not finite"),
+        # F^T F stays finite but the squared residuals overflow
+        (10**151.5, r"residual-variance rate is not finite at iteration 0"),
+    ],
+)
+def test_gibbs_overflow_raises_numerical_error(scale, message):
+    ds = generate_sparse(GeneratorConfig(n=30, p=7, k=2, scenario=Scenario.SPARSE, seed=5))
+    with pytest.raises(NumericalError, match=message), np.errstate(over="ignore"):
+        gibbs_sample(ds.X * scale, SamplerConfig(iterations=5, burn_in=1), k=2)
+
+
+def test_lowest_failing_row_is_named():
+    for bad in (0, 4, 8):
+        broken = np.tile(np.eye(2), (9, 1, 1))
+        broken[bad] = -np.eye(2)
+        broken[-1] = -np.eye(2)
+        with pytest.raises(NumericalError, match=rf"iteration 3, row {bad} is not positive definite"):
+            _cholesky(broken, "loading-row", 3)
+    with pytest.raises(NumericalError, match=r"iteration 3 is not positive definite"):
+        _cholesky(-np.eye(2), "factor-update", 3)
 
 
 def test_gibbs_output_shapes_and_positivity():
