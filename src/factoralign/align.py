@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
     Chain,
@@ -180,6 +179,10 @@ def exact_match_assignment(a, pivot) -> SignedPermutation:
     2^k * k! signed permutations reduces to a k x k assignment problem; the
     sign of each matched pair is the cheaper of the two.
     """
+    # Imported here: scipy.optimize takes most of a CLI start, and only
+    # oracle-check reaches this matcher.
+    from scipy.optimize import linear_sum_assignment
+
     a_arr = validate_loadings(a, "sample")
     p_arr = validate_loadings(pivot, "pivot")
     _check_same_shape(a_arr, p_arr)

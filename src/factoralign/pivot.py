@@ -80,6 +80,10 @@ def select_pivot(
     +inf rank-deficiency sentinel, in which case the whole chain switches to
     the largest singular value.
     """
+    if not 0.0 <= infinite_fraction_threshold <= 1.0:
+        raise ValueError(
+            f"infinite_fraction_threshold must be in [0, 1], got {infinite_fraction_threshold}"
+        )
     _, p, k = chain.samples.shape
     if p < k:
         raise ValueError(f"samples must be tall (p >= k), got shape {(p, k)}")

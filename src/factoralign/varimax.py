@@ -5,6 +5,25 @@ planar rotation for the raw varimax objective.  A rotation is applied only
 when its predicted objective gain clears a tolerance-scaled gate, which makes
 a converged matrix an exact fixed point of ``varimax_rotate`` (re-rotating it
 is a bitwise no-op).
+
+Complex pair form.  For a column pair x, y of length p, let u = x*x - y*y,
+v = 2*x*y and w = u + iv.  Then a + ib = sum(w) and c + id = sum(w*w)
+(unconjugated), and q = p*(c + id) - (a + ib)^2 holds the numerator
+(imaginary part) and denominator (real part) of the optimal angle,
+theta = atan2(Im q, Re q) / 4.  An accepted rotation multiplies x + iy by
+exp(-i*theta), for the working columns and the rotation's columns in one
+buffer.  Each pair thus costs a handful of numpy calls whatever p is.  u and
+v are formed by real products, as the closed form is written: squaring
+z = x + iy instead would give a real part x*x - y*y fused into one rounding,
+which leaves a residue where the real products cancel exactly (|x| = |y|).
+
+Limits.  The fixed point holds for generic tall inputs.  With exactly
+duplicated or negated columns a pair's angle sits on a tie of the objective,
+and re-rotating a converged matrix can move it by about 1e-16.  With Kaiser
+normalization, k = 2 and such columns, the normalized matrix has rank one
+and entries of equal magnitude, so the objective is zero for every rotation:
+rounding alone decides where a sweep stops and whether a re-rotation moves
+the result.
 """
 
 from __future__ import annotations
@@ -48,8 +67,8 @@ class VarimaxConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be > 0")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -61,32 +80,18 @@ class VarimaxResult:
     converged: bool
 
 
+def _criterion(sq: np.ndarray) -> float:
+    """Raw varimax objective from the (p, k) squared loadings; no validation."""
+    # np.add.reduce is the reduction np.sum runs, without its Python-level
+    # wrappers, which cost more than the sums themselves at these sizes.
+    p = sq.shape[0]
+    return float(np.add.reduce(p * np.add.reduce(sq * sq) - np.add.reduce(sq) ** 2))
+
+
 def varimax_criterion(m) -> float:
     """Raw varimax objective: sum over columns of p*sum(x^4) - (sum(x^2))^2."""
     arr = validate_loadings(m)
-    p = arr.shape[0]
-    sq = arr * arr
-    return float(np.sum(p * np.sum(sq * sq, axis=0) - np.sum(sq, axis=0) ** 2))
-
-
-def _pair_rotation(x: np.ndarray, y: np.ndarray, p: int) -> tuple[float, float]:
-    """Optimal planar angle for one column pair and its predicted objective gain."""
-    u = x * x - y * y
-    v = 2.0 * x * y
-    a = float(np.sum(u))
-    b = float(np.sum(v))
-    c = float(np.sum(u * u - v * v))
-    d = 2.0 * float(np.sum(u * v))
-    num = p * d - 2.0 * a * b
-    den = p * c - (a * a - b * b)
-    hyp = math.hypot(num, den)
-    # hyp - den cancels catastrophically when num << den; use the stable form.
-    if den > 0:
-        gain = 0.25 * num * num / (hyp + den) if hyp + den > 0 else 0.0
-    else:
-        gain = 0.25 * (hyp - den)
-    theta = 0.25 * math.atan2(num, den)
-    return theta, gain
+    return _criterion(arr * arr)
 
 
 def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
@@ -105,49 +110,72 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
             rotated=arr.copy(),
             rotation=np.eye(1),
             iterations=0,
-            criterion=varimax_criterion(arr),
+            criterion=_criterion(arr * arr),
             converged=True,
         )
 
+    # Row j of ``state`` holds column j of the working matrix (p entries)
+    # followed by column j of the accumulated rotation (k entries), so one
+    # complex multiply rotates a column pair of both.
+    state = np.empty((k, p + k))
+    work = state[:, :p]
     if cfg.normalize:
         # Kaiser normalization; rotation preserves row norms, so returning
         # arr @ R below already undoes the scaling.
         row_norms = np.sqrt(np.sum(arr * arr, axis=1))
-        work = arr / np.where(row_norms > 0, row_norms, 1.0)[:, None]
+        work[:] = (arr / np.where(row_norms > 0, row_norms, 1.0)[:, None]).T
     else:
-        work = arr.copy()
+        work[:] = arr.T
+    state[:, p:] = np.eye(k)
+    sq = work * work
 
-    rotation = np.eye(k)
-    n_pairs = k * (k - 1) // 2
-    crit = varimax_criterion(work)
+    w = np.empty(p, dtype=np.complex128)
+    u, v = w.real, w.imag
+    z = np.empty(p + k, dtype=np.complex128)
+    z_parts = z.view(np.float64).reshape(p + k, 2).T  # rows: z.real, z.imag
+    # Per column pair, in cyclic order: views of its two working rows and
+    # their squares, and the strided slice that selects both rows at once.
+    pairs = [
+        (work[a], work[b], sq[a], sq[b], slice(a, b + 1, b - a))
+        for a in range(k - 1)
+        for b in range(a + 1, k)
+    ]
+
+    crit = _criterion(sq.T)
     converged = False
     sweeps = 0
     for _ in range(cfg.max_iterations):
         # A rotation is skipped unless its predicted gain clears this gate, so
         # a no-op sweep bounds the relative criterion improvement by the
         # tolerance and leaves the matrix an exact fixed point.
-        gate = cfg.tolerance * max(crit, _TINY) / n_pairs
+        gate = cfg.tolerance * max(crit, _TINY) / len(pairs)
         applied = False
-        for a_col in range(k - 1):
-            for b_col in range(a_col + 1, k):
-                x = work[:, a_col]
-                y = work[:, b_col]
-                theta, gain = _pair_rotation(x, y, p)
-                if not gain > gate:
-                    continue
-                applied = True
-                cos_t = math.cos(theta)
-                sin_t = math.sin(theta)
-                new_a = cos_t * x + sin_t * y
-                new_b = cos_t * y - sin_t * x
-                work[:, a_col] = new_a
-                work[:, b_col] = new_b
-                ra = rotation[:, a_col].copy()
-                rb = rotation[:, b_col].copy()
-                rotation[:, a_col] = cos_t * ra + sin_t * rb
-                rotation[:, b_col] = cos_t * rb - sin_t * ra
+        for x, y, x_sq, y_sq, ab in pairs:
+            np.subtract(x_sq, y_sq, out=u)
+            np.multiply(x, y, out=v)
+            v *= 2.0
+            s = complex(np.add.reduce(w))  # w.sum() without its Python wrapper
+            q = p * complex(w.dot(w)) - s * s
+            # + 0.0 maps -0.0 to +0.0, so a zero numerator over a negative
+            # den turns by +pi/4, not -pi/4.
+            num = q.imag + 0.0
+            den = q.real
+            hyp = math.hypot(num, den)
+            # hyp - den cancels catastrophically when num << den; use the stable form.
+            if den > 0:
+                gain = 0.25 * num * num / (hyp + den) if hyp + den > 0 else 0.0
+            else:
+                gain = 0.25 * (hyp - den)
+            if not gain > gate:
+                continue
+            applied = True
+            theta = 0.25 * math.atan2(num, den)
+            np.copyto(z_parts, state[ab])
+            z *= complex(math.cos(theta), -math.sin(theta))
+            state[ab] = z_parts
+            np.multiply(work[ab], work[ab], out=sq[ab])
         sweeps += 1
-        new_crit = varimax_criterion(work)
+        new_crit = _criterion(sq.T)
         if cfg.debug:
             assert new_crit >= crit - 1e-12 * max(1.0, crit), "criterion decreased within a sweep"
         crit = new_crit
@@ -155,12 +183,13 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
             converged = True
             break
 
+    rotation = state[:, p:].T.copy()
     rotated = arr @ rotation
     return VarimaxResult(
         rotated=rotated,
         rotation=rotation,
         iterations=sweeps,
-        criterion=varimax_criterion(rotated),
+        criterion=_criterion(rotated * rotated),
         converged=converged,
     )
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import factoralign
 from factoralign import read_chain, read_dataset
 from factoralign.chainio import read_traces
 from factoralign.cli import main
@@ -340,3 +345,53 @@ def test_diagnose_threads_flag_is_removed(tmp_path):
 
     write_chain(tmp_path / "c", Chain(np.ones((4, 3, 2))))
     assert run(["diagnose", "--aligned", tmp_path / "c", "--threads", 2, "--out", tmp_path / "d"]) == 2
+
+
+@pytest.mark.parametrize(
+    "option, value, named",
+    [
+        ("--infinite-fraction-threshold", "-1", "infinite_fraction_threshold"),
+        ("--infinite-fraction-threshold", "nan", "infinite_fraction_threshold"),
+        ("--varimax-tolerance", "inf", "tolerance"),
+    ],
+)
+def test_align_rejects_out_of_range_option(tmp_path, capsys, option, value, named):
+    # Each of these once exited 0: -1 forced sigma-max, nan disabled the
+    # fallback, and inf made the varimax gate skip every rotation.
+    from factoralign import Chain, write_chain
+
+    write_chain(tmp_path / "c", Chain(np.random.default_rng(93).standard_normal((6, 5, 2))))
+    assert run(["align", tmp_path / "c", option, value, "--out", tmp_path / "a"]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "a.json").exists()
+
+
+_PIPELINE_WITHOUT_SCIPY = """
+import json, sys
+from factoralign.cli import main
+
+out = sys.argv[1]
+codes = [
+    main(["simulate", "--n", "30", "--p", "7", "--k", "2", "--scenario", "sparse",
+          "--seed", "1", "--out", out + "/data"]),
+    main(["fit", out + "/data.csv", "--k", "2", "--iterations", "12", "--burn-in", "2",
+          "--seed", "1", "--out", out + "/chain"]),
+    main(["align", out + "/chain", "--out", out + "/aligned"]),
+    main(["diagnose", "--raw", out + "/chain", "--aligned", out + "/aligned", "--out", out + "/diag"]),
+]
+print(json.dumps({"codes": codes, "scipy_optimize": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_cli_pipeline_does_not_import_scipy_optimize(tmp_path):
+    # scipy.optimize is most of the CLI's start-up time; only the exact
+    # matcher (oracle-check) needs it.
+    src = str(Path(factoralign.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _PIPELINE_WITHOUT_SCIPY, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "scipy_optimize": False}

@@ -180,3 +180,12 @@ def test_select_pivot_rejects_wide_chain():
     chain = Chain(np.random.default_rng(36).standard_normal((3, 2, 3)))
     with pytest.raises(ValueError, match="tall"):
         select_pivot(chain)
+
+
+def test_select_pivot_rejects_threshold_outside_unit_interval():
+    chain = _chain_with_condition_numbers([1.0, 2.0, 3.0])
+    for threshold in (-1.0, -1e-9, 1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="infinite_fraction_threshold"):
+            select_pivot(chain, infinite_fraction_threshold=threshold)
+    for threshold in (0.0, 1.0):
+        assert select_pivot(chain, infinite_fraction_threshold=threshold).index == 1

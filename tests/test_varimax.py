@@ -1,12 +1,16 @@
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factoralign import (
     Chain,
     SampleError,
     VarimaxConfig,
+    VarimaxResult,
     apply_signed_permutation,
     exact_match_assignment,
     frobenius_norm,
@@ -16,7 +20,78 @@ from factoralign import (
     varimax_criterion,
     varimax_rotate,
 )
+from factoralign import varimax as varimax_module
 from conftest import random_orthogonal
+
+
+def _pair_rotation(x: np.ndarray, y: np.ndarray, p: int) -> tuple[float, float]:
+    """Optimal planar angle for one column pair and its predicted objective gain."""
+    u = x * x - y * y
+    v = 2.0 * x * y
+    a = float(np.sum(u))
+    b = float(np.sum(v))
+    c = float(np.sum(u * u - v * v))
+    d = 2.0 * float(np.sum(u * v))
+    num = p * d - 2.0 * a * b
+    den = p * c - (a * a - b * b)
+    hyp = math.hypot(num, den)
+    if den > 0:
+        gain = 0.25 * num * num / (hyp + den) if hyp + den > 0 else 0.0
+    else:
+        gain = 0.25 * (hyp - den)
+    theta = 0.25 * math.atan2(num, den)
+    return theta, gain
+
+
+def loop_varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
+    """Reference for varimax_rotate: the cyclic sweep one real column pair at a time.
+
+    Same pair order, gain gate, stopping rule and Kaiser normalization as
+    ``varimax_rotate``; only the arithmetic is spelled out per pair.
+    """
+    arr = np.asarray(m, dtype=np.float64)
+    cfg = config or VarimaxConfig()
+    p, k = arr.shape
+    if k == 1:
+        return VarimaxResult(arr.copy(), np.eye(1), 0, varimax_criterion(arr), True)
+    if cfg.normalize:
+        row_norms = np.sqrt(np.sum(arr * arr, axis=1))
+        work = arr / np.where(row_norms > 0, row_norms, 1.0)[:, None]
+    else:
+        work = arr.copy()
+    rotation = np.eye(k)
+    n_pairs = k * (k - 1) // 2
+    crit = varimax_criterion(work)
+    converged = False
+    sweeps = 0
+    for _ in range(cfg.max_iterations):
+        gate = cfg.tolerance * max(crit, 1e-300) / n_pairs
+        applied = False
+        for a_col in range(k - 1):
+            for b_col in range(a_col + 1, k):
+                x = work[:, a_col]
+                y = work[:, b_col]
+                theta, gain = _pair_rotation(x, y, p)
+                if not gain > gate:
+                    continue
+                applied = True
+                cos_t = math.cos(theta)
+                sin_t = math.sin(theta)
+                new_a = cos_t * x + sin_t * y
+                new_b = cos_t * y - sin_t * x
+                work[:, a_col] = new_a
+                work[:, b_col] = new_b
+                ra = rotation[:, a_col].copy()
+                rb = rotation[:, b_col].copy()
+                rotation[:, a_col] = cos_t * ra + sin_t * rb
+                rotation[:, b_col] = cos_t * rb - sin_t * ra
+        sweeps += 1
+        crit = varimax_criterion(work)
+        if not applied:
+            converged = True
+            break
+    rotated = arr @ rotation
+    return VarimaxResult(rotated, rotation, sweeps, varimax_criterion(rotated), converged)
 
 
 def grid_max_criterion(m: np.ndarray, n_grid: int = 100_000) -> float:
@@ -208,5 +283,57 @@ def test_orthogonalize_chain_warns_on_non_convergence(caplog):
 def test_config_validation():
     with pytest.raises(ValueError):
         VarimaxConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        VarimaxConfig(tolerance=0.0)
+    # An infinite tolerance makes the gain gate infinite: nothing would rotate.
+    for tolerance in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            VarimaxConfig(tolerance=tolerance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.integers(1, 8).flatmap(lambda k: st.tuples(st.integers(k, 60), st.just(k))),
+    log_scale=st.floats(-3.0, 3.0),
+    normalize=st.booleans(),
+    max_iterations=st.sampled_from([1, 3, 1000]),
+)
+def test_rotate_equals_pair_loop(seed, shape, log_scale, normalize, max_iterations):
+    """The complex-buffer sweep takes every step the real per-pair loop takes.
+
+    Inputs are generic tall Gaussian matrices.  Exactly duplicated or negated
+    columns are out of scope: there a pair's angle sits on a tie of the
+    objective, and which way each implementation turns, and at which of two
+    equal-gain points it stops, is decided by rounding in the last bits.
+    Both stop at a lower criterion than the other on some such inputs, so
+    neither result is the wrong one.
+    """
+    m = 10.0**log_scale * np.random.default_rng(seed).standard_normal(shape)
+    cfg = VarimaxConfig(max_iterations=max_iterations, normalize=normalize)
+    got = varimax_rotate(m, cfg)
+    want = loop_varimax_rotate(m, cfg)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    scale = np.abs(m).max()
+    assert np.abs(got.rotated - want.rotated).max() <= 1e-12 * scale
+    assert np.abs(got.rotation - want.rotation).max() <= 1e-12
+    assert abs(got.criterion - want.criterion) <= 1e-12 * abs(want.criterion)
+
+
+def test_orthogonalize_chain_calls_varimax_rotate_once_per_sample(monkeypatch):
+    # The benchmark's traced run counts sweeps by wrapping this module global;
+    # a batched path that bypassed it would leave its sweep metrics empty.
+    calls = []
+    original = varimax_module.varimax_rotate
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((result.iterations, result.converged))
+        return result
+
+    monkeypatch.setattr(varimax_module, "varimax_rotate", counted)
+    chain = Chain(np.random.default_rng(25).standard_normal((7, 10, 3)))
+    orthogonalize_chain(chain, VarimaxConfig(max_iterations=2))
+    assert len(calls) == 7
+    for iterations, converged in calls:
+        assert type(iterations) is int and iterations >= 1
+        assert type(converged) is bool
