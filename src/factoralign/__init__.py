@@ -29,6 +29,7 @@ from .chainio import (
 )
 from .core import (
     Chain,
+    NumericalError,
     SampleError,
     SignedPermutation,
     apply_signed_permutation,
@@ -48,7 +49,6 @@ from .diagnostics import (
 )
 from .factor_model import (
     GeneratorConfig,
-    NumericalError,
     SamplerConfig,
     Scenario,
     SyntheticDataset,

@@ -5,6 +5,17 @@ assigns each to its nearest remaining signed pivot column, and drops the
 matched column and its negative from the candidate pool.  The two exact
 matchers exist as quality baselines and test oracles: an assignment-solver
 optimum and a small-k exhaustive search.
+
+``align_chain`` runs the same greedy rule on all T samples at once.  It
+computes every squared distance |a_j -+ p_h|^2 into one ``(T, k, 2k)`` stack
+interleaved as (+p_0, -p_0, +p_1, ...), then takes k masked ``argmin`` steps
+over the whole chain: step i picks each sample's i-th source column and sets
+the two slots of its matched pivot column to +inf.  ``argmin`` returns the
+first minimum, so ties go to the lower pivot index and then to the + sign,
+exactly as the per-sample scan resolves them.  Each distance is an exact dot
+product of the difference with itself, the arithmetic of the per-sample scan,
+so the two give bitwise-equal matches and losses; the cheaper gram form
+|a|^2 + |p|^2 -+ 2 a.p rounds differently and can flip a near tie.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ import numpy as np
 
 from .core import (
     Chain,
-    SampleError,
+    NumericalError,
     SignedPermutation,
     apply_signed_permutation,
     frobenius_norm,
@@ -45,6 +56,8 @@ BRUTE_FORCE_MAX_K = 8
 # marks an unstable match (typically near-zero columns of an over-fitted model).
 UNSTABLE_DISTANCE_FRACTION = 0.5
 
+_NON_FINITE_DISTANCE = "matching distance to the pivot is not finite"
+
 
 class MatchOrder(enum.Enum):
     BY_DESCENDING_NORM = "norm"
@@ -62,12 +75,20 @@ class MatchConfig:
 class AlignmentReport:
     """Per-sample matching results for an aligned chain.
 
+    ``perm`` and ``signs`` are read-only ``(T, k)`` arrays holding each
+    sample's signed permutation in the :class:`SignedPermutation`
+    convention: aligned column j of sample t is
+    ``signs[t, j] * samples[t][:, perm[t, j]]``.
+
     ``comparisons_per_sample`` is the number of candidate distances the
-    greedy matcher actually evaluated per sample (k(k+1) under the
-    drop-after-match rule) plus the k ordering norms when sorting by norm.
+    greedy rule scans per sample (k(k+1) under the drop-after-match rule)
+    plus the k ordering norms when sorting by norm.  It counts the rule's
+    work, not the kernel's: the batched kernel computes all 2k^2 distances
+    of every sample up front.
     """
 
-    permutations: list[SignedPermutation]
+    perm: np.ndarray
+    signs: np.ndarray
     losses: np.ndarray
     total_loss: float
     pivot: PivotSelection
@@ -85,6 +106,11 @@ def match_loss(a, sp: SignedPermutation, pivot) -> float:
     p_arr = validate_loadings(pivot, "pivot")
     _check_same_shape(a_arr, p_arr)
     return frobenius_norm(apply_signed_permutation(a_arr, sp) - p_arr)
+
+
+def _unstable_d2(pivot: np.ndarray) -> float:
+    """Squared matched distance above which a match counts as unstable."""
+    return UNSTABLE_DISTANCE_FRACTION**2 * float(np.max(np.einsum("ij,ij->j", pivot, pivot)))
 
 
 def _greedy_match_stats(
@@ -107,9 +133,7 @@ def _greedy_match_stats(
 
     sample_cols = np.ascontiguousarray(a.T)
     pivot_cols = np.ascontiguousarray(pivot.T)
-    unstable_d2 = UNSTABLE_DISTANCE_FRACTION**2 * float(
-        np.max(np.einsum("ij,ij->j", pivot, pivot))
-    )
+    unstable_d2 = _unstable_d2(pivot)
 
     available = list(range(k))
     perm = np.empty(k, dtype=np.intp)
@@ -133,6 +157,9 @@ def _greedy_match_stats(
                 best_d2, best_h, best_sign = d2_plus, h, 1
             if d2_minus < best_d2:
                 best_d2, best_h, best_sign = d2_minus, h, -1
+        if best_h < 0:
+            # Every candidate overflowed to +inf.
+            raise NumericalError(_NON_FINITE_DISTANCE)
         perm[best_h] = j
         signs[best_h] = best_sign
         available.remove(best_h)
@@ -142,24 +169,33 @@ def _greedy_match_stats(
     return SignedPermutation._trusted(perm, signs), n_distance_evals, n_norm_evals, n_unstable
 
 
+def _checked_greedy_match(
+    a, pivot, config: MatchConfig | None = None
+) -> tuple[SignedPermutation, int]:
+    """Validate the inputs and return the greedy match and its unstable-match count."""
+    a_arr = validate_loadings(a, "sample")
+    p_arr = validate_loadings(pivot, "pivot")
+    _check_same_shape(a_arr, p_arr)
+    sp, _, _, n_unstable = _greedy_match_stats(a_arr, p_arr, config or MatchConfig())
+    return sp, n_unstable
+
+
 def greedy_match(a, pivot, config: MatchConfig | None = None) -> SignedPermutation:
     """Match ``a``'s columns to the pivot's columns greedily, without duplication.
 
     Processing ``a``'s columns in the configured order, each column is
     assigned the L2-nearest of the not-yet-matched pivot columns and their
     negatives; the matched column and its negative are then dropped from the
-    candidate pool.
+    candidate pool.  Raises :class:`NumericalError` when every candidate
+    distance of a column overflows.
     """
-    a_arr = validate_loadings(a, "sample")
-    p_arr = validate_loadings(pivot, "pivot")
-    _check_same_shape(a_arr, p_arr)
-    sp, _, _, n_unstable = _greedy_match_stats(a_arr, p_arr, config or MatchConfig())
+    sp, n_unstable = _checked_greedy_match(a, pivot, config)
     if n_unstable:
         logger.warning(
             "%d of %d columns matched at a distance above %.0f%% of the largest "
             "pivot column norm; those matches may be unstable",
             n_unstable,
-            a_arr.shape[1],
+            sp.k,
             100 * UNSTABLE_DISTANCE_FRACTION,
         )
     return sp
@@ -245,6 +281,55 @@ def brute_force_match(a, pivot) -> SignedPermutation:
     return SignedPermutation(np.array(best_perm, dtype=np.intp), np.array(best_signs, dtype=np.int64))
 
 
+def _greedy_match_chain(
+    samples: np.ndarray, pivot: np.ndarray, order: MatchOrder
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The greedy rule applied to every sample of a ``(T, p, k)`` stack at once.
+
+    Returns the ``(T, k)`` ``perm`` and ``signs`` arrays and the ``(T, k)``
+    squared distances of the matches, in the order the sources were matched.
+    """
+    t_len, _, k = samples.shape
+    rows = np.arange(t_len)
+    cols = np.ascontiguousarray(samples.transpose(0, 2, 1))
+    pivot_cols = np.ascontiguousarray(pivot.T)
+    # d2[t, j, 2h] = |a_j - p_h|^2 and d2[t, j, 2h + 1] = |a_j + p_h|^2, each
+    # the dot product of a contiguous length-p row with itself.
+    d2 = np.empty((t_len, k, 2 * k))
+    buf = np.empty_like(cols)
+    for h in range(k):
+        np.subtract(cols, pivot_cols[h], out=buf)
+        np.vecdot(buf, buf, out=d2[:, :, 2 * h])
+        np.add(cols, pivot_cols[h], out=buf)
+        np.vecdot(buf, buf, out=d2[:, :, 2 * h + 1])
+
+    if order is MatchOrder.BY_DESCENDING_NORM:
+        # Descending norm, ties to the lower source index.
+        sq_norms = np.einsum("tij,tij->tj", samples, samples)
+        source_order = np.argsort(-sq_norms, axis=1, kind="stable")
+    else:
+        source_order = np.broadcast_to(np.arange(k), (t_len, k))
+
+    # Zeros, not np.empty: a sample whose distances overflow can leave a pivot
+    # column unmatched, and its perm must still index validly until
+    # align_chain rejects it.
+    perm = np.zeros((t_len, k), dtype=np.intp)
+    signs = np.ones((t_len, k), dtype=np.int64)
+    matched_d2 = np.empty((t_len, k))
+    pivot_pairs = d2.reshape(t_len, k, k, 2)
+    for step in range(k):
+        source = source_order[:, step]
+        candidates = d2[rows, source]
+        slot = np.argmin(candidates, axis=1)
+        matched_d2[:, step] = candidates[rows, slot]
+        target = slot // 2
+        perm[rows, target] = source
+        signs[rows, target] = 1 - 2 * (slot % 2)
+        # Drop the matched pivot column and its negative for every source.
+        pivot_pairs[rows, :, target] = np.inf
+    return perm, signs, matched_d2
+
+
 def align_chain(
     chain: Chain,
     pivot_selection: PivotSelection,
@@ -254,7 +339,10 @@ def align_chain(
 
     Returns the aligned chain (residual variances pass through unchanged;
     they are per-variable, not per-factor) and an :class:`AlignmentReport`
-    with the applied transforms and per-sample Frobenius losses.
+    with the applied transforms and per-sample Frobenius losses.  Matches and
+    losses equal :func:`greedy_match`'s and ``frobenius_norm``'s per sample,
+    bitwise.  Raises :class:`NumericalError` naming the first sample whose
+    matched distance or loss overflows.
     """
     cfg = config or MatchConfig()
     pivot = validate_loadings(pivot_selection.pivot, "pivot")
@@ -267,32 +355,34 @@ def align_chain(
     ):
         raise ValueError("pivot selection was not drawn from this chain")
 
-    aligned_samples = np.empty(chain.samples.shape)
-    permutations = []
-    losses = np.empty(chain.n_samples)
-    total_unstable = 0
-    for t, sample in enumerate(chain.samples):
-        try:
-            sp, n_dist, n_norm, n_unstable = _greedy_match_stats(sample, pivot, cfg)
-        except ValueError as exc:
-            raise SampleError(t, str(exc)) from exc
-        aligned_samples[t] = apply_signed_permutation(sample, sp)
-        permutations.append(sp)
-        losses[t] = frobenius_norm(aligned_samples[t] - pivot)
-        total_unstable += n_unstable
+    samples = chain.samples
+    t_len, _, k = samples.shape
+    perm, signs, matched_d2 = _greedy_match_chain(samples, pivot, cfg.order)
+    aligned = np.take_along_axis(samples, perm[:, None, :], axis=2) * signs[:, None, :]
+    residual = aligned - pivot
+    # Summed over each sample's flat p*k entries, as frobenius_norm sums them.
+    losses = np.sqrt(np.add.reduce((residual * residual).reshape(t_len, -1), axis=1))
+    finite = np.isfinite(matched_d2).all(axis=1) & np.isfinite(losses)
+    if not finite.all():
+        raise NumericalError(f"sample {int(np.argmin(finite))}: {_NON_FINITE_DISTANCE}")
+
+    total_unstable = int(np.count_nonzero(matched_d2 > _unstable_d2(pivot)))
     if total_unstable:
         logger.warning(
             "%d column matches across %d samples exceeded the unstable-distance "
             "threshold; over-fitted near-zero columns are the usual cause",
             total_unstable,
-            chain.n_samples,
+            t_len,
         )
+    perm.flags.writeable = False
+    signs.flags.writeable = False
+    norm_evals = k if cfg.order is MatchOrder.BY_DESCENDING_NORM else 0
     report = AlignmentReport(
-        permutations=permutations,
+        perm=perm,
+        signs=signs,
         losses=losses,
         total_loss=float(np.sum(losses)),
         pivot=pivot_selection,
-        # Every sample evaluates the same number of distances and norms.
-        comparisons_per_sample=n_dist + n_norm,
+        comparisons_per_sample=k * (k + 1) + norm_evals,
     )
-    return Chain(aligned_samples, chain.residual_variances), report
+    return Chain(aligned, chain.residual_variances), report

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -19,12 +20,13 @@ import numpy as np
 from . import chainio
 from .align import (
     BRUTE_FORCE_MAX_K,
+    UNSTABLE_DISTANCE_FRACTION,
     MatchConfig,
     MatchOrder,
+    _checked_greedy_match,
     align_chain,
     brute_force_match,
     exact_match_assignment,
-    greedy_match,
     match_loss,
 )
 from .core import Chain, random_signed_permutation
@@ -37,10 +39,17 @@ from .factor_model import (
     generate_dataset,
     gibbs_sample,
 )
-from .pivot import INFINITE_FRACTION_THRESHOLD, PivotStatistic, select_pivot
+from .pivot import (
+    INFINITE_FRACTION_THRESHOLD,
+    PivotStatistic,
+    check_infinite_fraction_threshold,
+    select_pivot,
+)
 from .varimax import VarimaxConfig, orthogonalize_chain
 
 __all__ = ["build_parser", "console", "main"]
+
+logger = logging.getLogger(__name__)
 
 _PIVOT_CHOICES = {
     "auto": None,
@@ -175,7 +184,8 @@ def _cmd_fit(args) -> int:
 
 def _permutation_payload(report) -> list[dict]:
     return [
-        {"perm": sp.perm.tolist(), "signs": sp.signs.tolist()} for sp in report.permutations
+        {"perm": perm, "signs": signs}
+        for perm, signs in zip(report.perm.tolist(), report.signs.tolist())
     ]
 
 
@@ -186,13 +196,14 @@ def _cmd_align(args) -> int:
     chain_files = chainio.chain_paths(args.out) + chainio.chain_paths(args.chain)
     if Path(report_path).resolve() in {path.resolve() for path in chain_files}:
         raise ValueError(f"--report path {report_path} collides with a chain file")
-    raw_chain, _ = chainio.read_chain(args.chain)
     vconfig = VarimaxConfig(
         max_iterations=args.varimax_max_iterations,
         tolerance=args.varimax_tolerance,
         normalize=args.kaiser_normalize,
     )
     mconfig = MatchConfig(order=_ORDER_CHOICES[args.order])
+    check_infinite_fraction_threshold(args.infinite_fraction_threshold)
+    raw_chain, _ = chainio.read_chain(args.chain)
 
     start = time.perf_counter()
     rotated = orthogonalize_chain(raw_chain, vconfig)
@@ -273,6 +284,7 @@ def _cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     greedy_losses, exact_losses, brute_losses = [], [], []
     greedy_times, exact_times, brute_times = [], [], []
+    unstable_trials = unstable_columns = 0
     for _ in range(args.trials):
         pivot = rng.standard_normal((args.p, args.k))
         sp = random_signed_permutation(args.k, rng)
@@ -280,8 +292,10 @@ def _cmd_oracle_check(args) -> int:
             (args.p, args.k)
         )
         start = time.perf_counter()
-        g = greedy_match(sample, pivot)
+        g, n_unstable = _checked_greedy_match(sample, pivot)
         greedy_times.append(time.perf_counter() - start)
+        unstable_trials += n_unstable > 0
+        unstable_columns += n_unstable
         greedy_losses.append(match_loss(sample, g, pivot))
         start = time.perf_counter()
         e = exact_match_assignment(sample, pivot)
@@ -293,6 +307,15 @@ def _cmd_oracle_check(args) -> int:
             brute_times.append(time.perf_counter() - start)
             brute_losses.append(match_loss(sample, b, pivot))
 
+    if unstable_columns:
+        logger.warning(
+            "greedy matches of %d columns in %d of %d trials were at a distance above "
+            "%.0f%% of the largest pivot column norm; those matches may be unstable",
+            unstable_columns,
+            unstable_trials,
+            args.trials,
+            100 * UNSTABLE_DISTANCE_FRACTION,
+        )
     greedy_equal = sum(
         1
         for gl, el in zip(greedy_losses, exact_losses)

@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "Chain",
+    "NumericalError",
     "SampleError",
     "SignedPermutation",
     "apply_signed_permutation",
@@ -23,6 +24,14 @@ __all__ = [
     "random_signed_permutation",
     "validate_loadings",
 ]
+
+
+class NumericalError(RuntimeError):
+    """A floating-point failure that leaves a result meaningless.
+
+    Raised for overflow and for an ill-conditioned sampler posterior, as
+    opposed to input that is invalid on its face (``ValueError``).
+    """
 
 
 class SampleError(ValueError):

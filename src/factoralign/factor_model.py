@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chain
+from .core import Chain, NumericalError
 
 __all__ = [
     "GeneratorConfig",
@@ -33,10 +33,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-class NumericalError(RuntimeError):
-    """A linear-algebra failure inside the sampler (ill-conditioned posterior)."""
 
 
 class Scenario(enum.Enum):

@@ -18,6 +18,7 @@ from .core import Chain, validate_loadings
 __all__ = [
     "PivotSelection",
     "PivotStatistic",
+    "check_infinite_fraction_threshold",
     "condition_number",
     "select_pivot",
     "singular_values",
@@ -59,6 +60,12 @@ def condition_number(m, rank_tolerance: float = RANK_TOLERANCE) -> float:
     return float(s[0] / s[-1])
 
 
+def check_infinite_fraction_threshold(threshold: float) -> None:
+    """Raise ``ValueError`` unless the fallback threshold lies in [0, 1]; NaN is rejected."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"infinite_fraction_threshold must be in [0, 1], got {threshold}")
+
+
 def _lower_median_index(stats: np.ndarray) -> int:
     # Rank floor((T+1)/2) ascending picks the lower-median value; among
     # samples tied at that value the smallest sample index wins.
@@ -80,10 +87,7 @@ def select_pivot(
     +inf rank-deficiency sentinel, in which case the whole chain switches to
     the largest singular value.
     """
-    if not 0.0 <= infinite_fraction_threshold <= 1.0:
-        raise ValueError(
-            f"infinite_fraction_threshold must be in [0, 1], got {infinite_fraction_threshold}"
-        )
+    check_infinite_fraction_threshold(infinite_fraction_threshold)
     _, p, k = chain.samples.shape
     if p < k:
         raise ValueError(f"samples must be tall (p >= k), got shape {(p, k)}")

@@ -1,12 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from factoralign import (
     Chain,
     MatchConfig,
     MatchOrder,
+    NumericalError,
     SignedPermutation,
     align_chain,
     apply_signed_permutation,
@@ -19,6 +22,7 @@ from factoralign import (
     select_pivot,
 )
 from factoralign.align import _greedy_match_stats
+from factoralign.pivot import PivotSelection, PivotStatistic
 
 
 def noisy_signed_copy(pivot, rng, noise=0.01):
@@ -215,8 +219,9 @@ def test_align_chain_identical_copies_of_pivot():
     sel = select_pivot(chain)
     aligned, report = align_chain(chain, sel)
     assert report.total_loss == 0.0
-    for sp in report.permutations:
-        assert sp == SignedPermutation.identity(3)
+    for t in range(5):
+        np.testing.assert_array_equal(report.perm[t], [0, 1, 2])
+        np.testing.assert_array_equal(report.signs[t], [1, 1, 1])
 
 
 def test_align_chain_zero_loss_for_signed_permutations_of_one_matrix():
@@ -256,7 +261,8 @@ def test_align_chain_report_invariants():
         assert report.losses[t] == pytest.approx(direct, abs=1e-10)
     # pivot sample aligns to itself exactly
     assert report.losses[sel.index] == 0.0
-    assert report.permutations[sel.index] == SignedPermutation.identity(4)
+    np.testing.assert_array_equal(report.perm[sel.index], [0, 1, 2, 3])
+    np.testing.assert_array_equal(report.signs[sel.index], [1, 1, 1, 1])
 
 
 def test_align_chain_rejects_foreign_pivot():
@@ -275,3 +281,121 @@ def test_align_chain_passes_residual_variances_through():
     sel = select_pivot(chain)
     aligned, _ = align_chain(chain, sel)
     np.testing.assert_array_equal(aligned.residual_variances, variances)
+
+
+def _chain_with_ties(rng, t_len, p, k, scale):
+    """Random samples in which some carry exact or rounding-level distance ties.
+
+    Exact ties come from zero columns, duplicated and negated columns, and
+    samples that are the pivot or a signed permutation of it.  A column at
+    the midpoint of two signed pivot columns is equidistant from both in
+    exact arithmetic, so rounding decides its match.
+    """
+    samples = scale * rng.standard_normal((t_len, p, k))
+    pivot_index = int(rng.integers(t_len))
+    for t in range(t_len):
+        kind = rng.integers(6)
+        i, j = rng.integers(k, size=2)
+        if kind == 1:
+            samples[t, :, j] = 0.0
+        elif kind == 2:
+            samples[t, :, j] = samples[t, :, i]
+        elif kind == 3:
+            samples[t, :, j] = -samples[t, :, i]
+    pivot = samples[pivot_index].copy()
+    for t in range(t_len):
+        kind = rng.integers(4)
+        if t == pivot_index:
+            continue
+        if kind == 1:
+            samples[t] = pivot
+        elif kind == 2:
+            samples[t] = apply_signed_permutation(pivot, random_signed_permutation(k, rng))
+        elif kind == 3:
+            for j in range(k):
+                h1, h2 = rng.integers(k, size=2)
+                samples[t, :, j] = 0.5 * (pivot[:, h1] + rng.choice([-1.0, 1.0]) * pivot[:, h2])
+    chain = Chain(samples)
+    selection = PivotSelection(
+        index=pivot_index,
+        pivot=chain.samples[pivot_index].copy(),
+        statistic_used=PivotStatistic.CONDITION_NUMBER,
+        statistics=np.zeros(t_len),
+    )
+    return chain, selection
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t_len=st.integers(1, 40),
+    k=st.integers(1, 8),
+    extra_rows=st.integers(0, 22),
+    exponent=st.integers(-3, 3),
+    order=st.sampled_from(list(MatchOrder)),
+)
+def test_align_chain_equals_per_sample_greedy(caplog, seed, t_len, k, extra_rows, exponent, order):
+    p = min(k + extra_rows, 30)
+    rng = np.random.default_rng(seed)
+    chain, selection = _chain_with_ties(rng, t_len, p, k, 10.0**exponent)
+    cfg = MatchConfig(order=order)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="factoralign.align"):
+        aligned, report = align_chain(chain, selection, cfg)
+    records = caplog.records
+
+    assert report.perm.shape == report.signs.shape == (t_len, k)
+    assert report.perm.dtype == np.intp and report.signs.dtype == np.int64
+    unstable = 0
+    for t in range(t_len):
+        sp, n_dist, n_norm, n_unstable = _greedy_match_stats(chain.samples[t], selection.pivot, cfg)
+        expected = apply_signed_permutation(chain.samples[t], sp)
+        assert np.array_equal(report.perm[t], sp.perm)
+        assert np.array_equal(report.signs[t], sp.signs)
+        assert np.array_equal(aligned.samples[t], expected)
+        assert report.losses[t] == frobenius_norm(expected - selection.pivot)
+        unstable += n_unstable
+    assert report.comparisons_per_sample == n_dist + n_norm
+    assert report.total_loss == float(np.sum(report.losses))
+    if unstable:
+        assert len(records) == 1 and records[0].args[0] == unstable
+    else:
+        assert records == []
+
+
+def test_align_chain_report_arrays_are_read_only():
+    rng = np.random.default_rng(59)
+    chain = Chain(rng.standard_normal((4, 6, 3)))
+    _, report = align_chain(chain, select_pivot(chain))
+    for arr in (report.perm, report.signs):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_overflowing_distances_raise_numerical_error(scale):
+    # Every candidate distance overflows to +inf; the per-sample scan once
+    # left its best index at -1 and failed on an unrelated list error.
+    rng = np.random.default_rng(60)
+    chain = Chain(scale * rng.standard_normal((20, 6, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="sample 0: matching distance"):
+            align_chain(chain, select_pivot(chain))
+        with pytest.raises(NumericalError, match="matching distance"):
+            greedy_match(chain.samples[3], chain.samples[0])
+
+
+def test_overflowing_loss_names_the_first_bad_sample():
+    # Each matched column distance of sample 2 is finite (about 1.4e308),
+    # but their sum overflows.
+    rng = np.random.default_rng(61)
+    samples = rng.standard_normal((4, 1, 2))
+    samples[2] = 1.2e154
+    samples[3] = 1.3e154
+    chain = Chain(samples)
+    selection = PivotSelection(0, chain.samples[0].copy(), PivotStatistic.CONDITION_NUMBER, np.zeros(4))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="sample 2: matching distance"):
+            align_chain(chain, selection)

@@ -353,10 +353,11 @@ def test_diagnose_threads_flag_is_removed(tmp_path):
         ("--infinite-fraction-threshold", "-1", "infinite_fraction_threshold"),
         ("--infinite-fraction-threshold", "nan", "infinite_fraction_threshold"),
         ("--varimax-tolerance", "inf", "tolerance"),
+        ("--varimax-max-iterations", "0", "max_iterations"),
     ],
 )
 def test_align_rejects_out_of_range_option(tmp_path, capsys, option, value, named):
-    # Each of these once exited 0: -1 forced sigma-max, nan disabled the
+    # The first three once exited 0: -1 forced sigma-max, nan disabled the
     # fallback, and inf made the varimax gate skip every rotation.
     from factoralign import Chain, write_chain
 
@@ -364,6 +365,10 @@ def test_align_rejects_out_of_range_option(tmp_path, capsys, option, value, name
     assert run(["align", tmp_path / "c", option, value, "--out", tmp_path / "a"]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "a.json").exists()
+    # Options are checked before the chain is read: a missing chain once
+    # turned each of these into exit 3.
+    assert run(["align", tmp_path / "missing", option, value, "--out", tmp_path / "a"]) == 2
+    assert named in capsys.readouterr().err
 
 
 _PIPELINE_WITHOUT_SCIPY = """
@@ -395,3 +400,40 @@ def test_cli_pipeline_does_not_import_scipy_optimize(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0, 0, 0], "scipy_optimize": False}
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_align_overflowing_chain_exits_4_and_writes_nothing(tmp_path, capsys, scale):
+    # Every matching distance overflows; this once exited 2 with
+    # "list.remove(x): x not in list".
+    from factoralign import Chain, write_chain
+
+    samples = scale * np.random.default_rng(94).standard_normal((20, 6, 2))
+    write_chain(tmp_path / "c", Chain(samples))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["align", tmp_path / "c", "--out", tmp_path / "a"])
+    assert code == 4
+    # Sample 0 is the pivot, which matches itself at distance 0.
+    assert "sample 1: matching distance" in capsys.readouterr().err
+    assert not (tmp_path / "a.bin").exists()
+    assert not (tmp_path / "a.json").exists()
+    assert not (tmp_path / "a_report.json").exists()
+
+
+def test_oracle_check_warns_about_unstable_matches_once(tmp_path, caplog):
+    import logging
+
+    from factoralign import greedy_match
+
+    with caplog.at_level(logging.WARNING):
+        code = run(["oracle-check", "--trials", 30, "--noise", 1.0, "--out", tmp_path / "o.json"])
+    assert code == 0
+    assert len(caplog.records) == 1
+    assert "of 30 trials" in caplog.records[0].getMessage()
+
+    # Called directly, greedy_match still warns for its one sample.
+    caplog.clear()
+    rng = np.random.default_rng(95)
+    with caplog.at_level(logging.WARNING, logger="factoralign.align"):
+        greedy_match(rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
+    assert len(caplog.records) == 1
