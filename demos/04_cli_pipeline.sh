@@ -4,6 +4,13 @@
 # (column-major per sample); reports are schema-versioned JSON.
 set -euo pipefail
 
+# Without an installed factoralign command, run the package from this checkout.
+if ! command -v factoralign >/dev/null 2>&1; then
+    src="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
+    export PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}"
+    factoralign() { python3 -m factoralign "$@"; }
+fi
+
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 echo "working in $workdir"

@@ -4,11 +4,15 @@ A chain is stored as ``<name>.json`` (the manifest) plus ``<name>.bin`` (the
 payload): T consecutive p x k matrices of little-endian float64 in
 column-major order, followed by T length-p residual-variance vectors when the
 manifest flags them.  Every float written to CSV uses repr-exact formatting
-so write -> read -> write round-trips byte-identically.
+so write -> read -> write round-trips byte-identically.  Reports are JSON with
+one sorted key per line and each list on one line (:func:`report_text`).
+Every writer stages its files in temporaries and moves them into place only
+once they are whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -25,6 +29,7 @@ __all__ = [
     "read_chain",
     "read_dataset",
     "read_traces",
+    "report_text",
     "write_chain",
     "write_dataset",
     "write_report",
@@ -35,6 +40,7 @@ FORMAT_VERSION = 1
 LAYOUT = "column-major"
 DTYPE = "f64-le"
 FLOAT_FORMAT = "%.17g"
+_CSV_BLOCK_ROWS = 64
 
 
 class FileFormatError(RuntimeError):
@@ -61,6 +67,26 @@ def chain_paths(base) -> tuple[Path, Path]:
     return base.with_suffix(".json"), base.with_suffix(".bin")
 
 
+@contextlib.contextmanager
+def _staged(*paths: Path):
+    """Yield one temporary path per target; on success move each onto its target, in order.
+
+    Every writer fills its temporaries inside the block, so a failure there
+    leaves the old files whole; the temporaries left by a failure are removed.
+    """
+    temporaries = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        yield temporaries
+        for temporary, path in zip(temporaries, paths):
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in temporaries:
+            temporary.unlink(missing_ok=True)
+        raise
+
+
 def write_chain(base, chain: Chain, seed_provenance: str | None = None) -> ChainFileManifest:
     """Write ``chain`` as a manifest/payload pair at ``<base>.json`` / ``<base>.bin``.
 
@@ -85,17 +111,9 @@ def write_chain(base, chain: Chain, seed_provenance: str | None = None) -> Chain
     if chain.residual_variances is not None:
         payload += np.ascontiguousarray(chain.residual_variances).astype("<f8").tobytes()
     manifest_text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    staged: list[tuple[Path, Path]] = []
-    try:
-        for path, data in ((payload_path, payload), (manifest_path, manifest_text.encode())):
-            staged.append((path.with_name(f".{path.name}.{os.getpid()}.tmp"), path))
-            staged[-1][0].write_bytes(data)
-        for temporary, path in staged:
-            os.replace(temporary, path)
-    finally:
-        for temporary, _ in staged:
-            temporary.unlink(missing_ok=True)
+    with _staged(payload_path, manifest_path) as (payload_temporary, manifest_temporary):
+        payload_temporary.write_bytes(payload)
+        manifest_temporary.write_bytes(manifest_text.encode())
     return manifest
 
 
@@ -158,10 +176,25 @@ def write_dataset(path, data: np.ndarray) -> None:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError(f"data must be 2-dimensional, got shape {data.shape}")
-    header = ",".join(f"v{j + 1}" for j in range(data.shape[1]))
+    _write_csv(path, ",".join(f"v{j + 1}" for j in range(data.shape[1])), data)
+
+
+def _write_csv(path, header: str, rows: np.ndarray) -> None:
+    """Write a header line and the rows of a 2-D float array, ``FLOAT_FORMAT`` joined by commas.
+
+    Each block of ``_CSV_BLOCK_ROWS`` rows is formatted by one ``%`` operation,
+    so the text in memory stays one block long.  The bytes equal those of
+    ``np.savetxt(path, rows, fmt=FLOAT_FORMAT, delimiter=",", header=header,
+    comments="")``, which also writes no header line for an empty header.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path, data, fmt=FLOAT_FORMAT, delimiter=",", header=header, comments="")
+    row_format = ",".join([FLOAT_FORMAT] * rows.shape[1]) + "\n"
+    with _staged(path) as (temporary,), temporary.open("w", newline="\n") as fh:
+        if header:
+            fh.write(header + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start : start + _CSV_BLOCK_ROWS]
+            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_dataset(path) -> np.ndarray:
@@ -190,9 +223,7 @@ def write_traces(path, traces: np.ndarray, labels: list[str]) -> None:
     traces = np.asarray(traces, dtype=np.float64)
     if traces.ndim != 2 or traces.shape[1] != len(labels):
         raise ValueError("traces must be (T, len(labels))")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path, traces, fmt=FLOAT_FORMAT, delimiter=",", header=",".join(labels), comments="")
+    _write_csv(path, ",".join(labels), traces)
 
 
 def read_traces(path) -> tuple[np.ndarray, list[str]]:
@@ -206,9 +237,26 @@ def read_traces(path) -> tuple[np.ndarray, list[str]]:
     return data, labels
 
 
+def report_text(payload: dict) -> str:
+    """The report layout: sorted dict keys one per line, every other value on one line.
+
+    Lists and scalars go through ``json.dumps`` without an indent, which runs
+    json's C encoder; only the dict levels are laid out here.  The text parses
+    to ``payload``.
+    """
+    return _layout(payload, "")
+
+
+def _layout(value, indent: str) -> str:
+    if not isinstance(value, dict) or not value:
+        return json.dumps(value, sort_keys=True)
+    inner = indent + "  "
+    items = (f"{inner}{json.dumps(key)}: {_layout(value[key], inner)}" for key in sorted(value))
+    return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+
+
 def write_report(path, report: dict) -> None:
-    """Write a schema-versioned JSON report with deterministic serialization."""
-    payload = {"schema_version": 1, **report}
+    """Write a schema-versioned JSON report in the :func:`report_text` layout."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _staged(path) as (temporary,):
+        temporary.write_text(report_text({"schema_version": 1, **report}) + "\n")

@@ -8,7 +8,6 @@ Every subcommand is deterministic given its flags and seed.  ``align
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 import time
@@ -348,7 +347,7 @@ def _cmd_oracle_check(args) -> int:
         chainio.write_report(args.out, payload)
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(chainio.report_text(payload))
     return 0
 
 

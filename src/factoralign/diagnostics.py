@@ -46,13 +46,20 @@ def build_report(raw: Chain | None, aligned: Chain | None) -> dict:
     aligned}`` and ``per_entry_ess_{raw,aligned}`` (nested lists), each None
     when its chain is missing; the ESS fields are also None for chains
     shorter than ``MIN_SERIES_LENGTH``.  Without a raw chain the aligned chain
-    is its own covariance reference.
+    is its own covariance reference.  Each chain's mean gram is computed once
+    and serves both the L L^T drift check and the discrepancy.
     """
+    chains = {"raw": raw, "aligned": aligned}
+    grams = {name: _mean_gram(chain) for name, chain in chains.items() if chain is not None}
+    reference = "raw" if raw is not None else "aligned"
     report = {}
-    for name, chain in (("raw", raw), ("aligned", aligned)):
-        reference = raw if raw is not None else chain
+    for name, chain in chains.items():
         report[f"covariance_discrepancy_{name}"] = (
-            None if chain is None else covariance_discrepancy(reference, chain)
+            None
+            if chain is None
+            else covariance_discrepancy(
+                chains[reference], chain, raw_gram=grams[reference], aligned_gram=grams[name]
+            )
         )
         if chain is None or chain.n_samples < MIN_SERIES_LENGTH:
             report[f"mean_ess_ratio_{name}"] = report[f"per_entry_ess_{name}"] = None
@@ -69,19 +76,30 @@ def _mean_gram(chain: Chain) -> np.ndarray:
     return unfolded @ unfolded.T / chain.n_samples
 
 
-def covariance_discrepancy(raw: Chain, aligned: Chain) -> float:
+def covariance_discrepancy(
+    raw: Chain,
+    aligned: Chain,
+    *,
+    raw_gram: np.ndarray | None = None,
+    aligned_gram: np.ndarray | None = None,
+) -> float:
     """Frobenius distance between mean(L L^T) and Lbar Lbar^T of the aligned chain.
 
     The first term is computed from the raw chain; because alignment only
     post-multiplies by signed permutations, the aligned chain must give the
-    same mean gram matrix, and this is asserted.
+    same mean gram matrix, and this is asserted.  ``raw_gram`` and
+    ``aligned_gram`` are the chains' mean(L L^T) when the caller already has
+    them; :func:`build_report` passes them so that each chain's is computed
+    once.  The result is the same either way.
     """
     if raw.samples.shape != aligned.samples.shape:
         raise ValueError(
             f"chain shapes differ: {raw.samples.shape} vs {aligned.samples.shape}"
         )
-    raw_gram = _mean_gram(raw)
-    aligned_gram = _mean_gram(aligned)
+    if raw_gram is None:
+        raw_gram = _mean_gram(raw)
+    if aligned_gram is None:
+        aligned_gram = _mean_gram(aligned)
     drift = frobenius_norm(raw_gram - aligned_gram)
     if drift > 1e-10 * max(frobenius_norm(raw_gram), 1e-300):
         raise ValueError(

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chain, SampleError, validate_loadings
+from .core import Chain, NumericalError, SampleError, validate_loadings
 
 __all__ = [
     "VarimaxConfig",
@@ -47,6 +48,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TINY = 1e-300
+# Below this bound hyp +- den stays finite; nan and inf fail the comparison.
+_HYP_LIMIT = 0.5 * sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,13 @@ def _criterion(sq: np.ndarray) -> float:
     return float(np.add.reduce(p * np.add.reduce(sq * sq) - np.add.reduce(sq) ** 2))
 
 
+def _checked_criterion(sq: np.ndarray) -> float:
+    crit = _criterion(sq)
+    if not math.isfinite(crit):
+        raise NumericalError(f"varimax objective is {crit}: fourth powers of the loadings overflow")
+    return crit
+
+
 def varimax_criterion(m) -> float:
     """Raw varimax objective: sum over columns of p*sum(x^4) - (sum(x^2))^2."""
     arr = validate_loadings(m)
@@ -101,6 +111,9 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
     ``rotated == m @ R`` up to round-off), the number of completed sweeps,
     the raw varimax objective of the rotated matrix, and a convergence flag.
     Non-convergence within ``max_iterations`` is reported, not raised.
+    Raises :class:`NumericalError` when the objective or a column pair's
+    angle terms overflow, as they do once entries exceed about 1e76; a single
+    column is returned as it is, with its criterion as computed.
     """
     arr = validate_loadings(m)
     cfg = config or VarimaxConfig()
@@ -141,7 +154,7 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
         for b in range(a + 1, k)
     ]
 
-    crit = _criterion(sq.T)
+    crit = _checked_criterion(sq.T)
     converged = False
     sweeps = 0
     for _ in range(cfg.max_iterations):
@@ -161,9 +174,14 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
             num = q.imag + 0.0
             den = q.real
             hyp = math.hypot(num, den)
-            # hyp - den cancels catastrophically when num << den; use the stable form.
+            if not hyp < _HYP_LIMIT:
+                raise NumericalError(
+                    f"varimax angle terms of columns {ab.start} and {ab.stop - 1} overflow"
+                )
+            # hyp - den cancels catastrophically when num << den; use the stable
+            # form, dividing before multiplying so that num * num cannot overflow.
             if den > 0:
-                gain = 0.25 * num * num / (hyp + den) if hyp + den > 0 else 0.0
+                gain = 0.25 * num * (num / (hyp + den))
             else:
                 gain = 0.25 * (hyp - den)
             if not gain > gate:
@@ -175,7 +193,7 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
             state[ab] = z_parts
             np.multiply(work[ab], work[ab], out=sq[ab])
         sweeps += 1
-        new_crit = _criterion(sq.T)
+        new_crit = _checked_criterion(sq.T)
         if cfg.debug:
             assert new_crit >= crit - 1e-12 * max(1.0, crit), "criterion decreased within a sweep"
         crit = new_crit
@@ -189,7 +207,7 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
         rotated=rotated,
         rotation=rotation,
         iterations=sweeps,
-        criterion=_criterion(rotated * rotated),
+        criterion=_checked_criterion(rotated * rotated),
         converged=converged,
     )
 
@@ -199,6 +217,7 @@ def orthogonalize_chain(chain: Chain, config: VarimaxConfig | None = None) -> Ch
 
     Sample order is preserved and residual variances pass through untouched.
     Samples that hit ``max_iterations`` are kept and named in one warning.
+    A :class:`NumericalError` is raised again naming the sample.
     """
     cfg = config or VarimaxConfig()
     rotated = np.empty(chain.samples.shape)
@@ -208,6 +227,8 @@ def orthogonalize_chain(chain: Chain, config: VarimaxConfig | None = None) -> Ch
             result = varimax_rotate(sample, cfg)
         except ValueError as exc:
             raise SampleError(t, str(exc)) from exc
+        except NumericalError as exc:
+            raise NumericalError(f"sample {t}: {exc}") from exc
         rotated[t] = result.rotated
         if not result.converged:
             unconverged.append(t)

@@ -1,11 +1,18 @@
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from factoralign import Chain, FileFormatError, read_chain, read_dataset, write_chain, write_dataset
-from factoralign.chainio import read_traces, write_report, write_traces
+from factoralign import chainio
+from factoralign.chainio import FLOAT_FORMAT, read_traces, report_text, write_report, write_traces
 
 
 @pytest.fixture
@@ -143,6 +150,83 @@ def test_traces_round_trip_bitwise(tmp_path):
     assert labels == ["r0_c0", "r3_c1"]
 
 
+def savetxt_oracle(data: np.ndarray, header: str) -> bytes:
+    out = io.StringIO()
+    np.savetxt(out, data, fmt=FLOAT_FORMAT, delimiter=",", header=header, comments="")
+    return out.getvalue().encode()
+
+
+SPECIAL_ROWS = np.array([[-0.0, 5e-324, -2.5e-310, 1e308, -1e308, math.nan, math.inf, -math.inf]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=hnp.arrays(
+        np.float64,
+        st.tuples(
+            st.one_of(st.integers(1, 6), st.sampled_from([chainio._CSV_BLOCK_ROWS + 1, 2500])),
+            st.integers(1, 5),
+        ),
+        elements=st.floats(width=64),
+    )
+)
+@example(data=SPECIAL_ROWS)
+@example(data=SPECIAL_ROWS.T)
+@example(data=np.tile(SPECIAL_ROWS, (chainio._CSV_BLOCK_ROWS + 3, 1)))
+def test_csv_writer_equals_savetxt(data):
+    """Dataset and trace CSVs are byte-equal to ``np.savetxt`` at the same format."""
+    header = ",".join(f"v{j + 1}" for j in range(data.shape[1]))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "data.csv"
+        write_dataset(path, data)
+        assert path.read_bytes() == savetxt_oracle(data, header)
+        labels = [f"r{j}_c0" for j in range(data.shape[1])]
+        write_traces(path, data, labels)
+        assert path.read_bytes() == savetxt_oracle(data, ",".join(labels))
+        assert [p.name for p in Path(directory).iterdir()] == ["data.csv"]
+
+
+def test_report_layout_round_trips():
+    payload = {
+        "subcommand": "align",
+        "alignment": {
+            "pivot_statistics": [math.inf, 1.5, -math.inf, 0.1 + 0.2],
+            "permutations": [{"perm": [1, 0], "signs": [-1, 1]}, {"signs": [1, 1], "perm": [0, 1]}],
+            "losses": [],
+            "nested": {"z": None, "a": {"deep": [[1, 2], [3]]}},
+            "empty": {},
+        },
+        "note": 'quote " and \\ and \u00e9',
+        "count": 3,
+        "flag": False,
+    }
+    text = report_text(payload)
+    assert json.loads(text) == payload
+    # One line per dict key; every list, dicts inside lists too, on one line.
+    assert text == "\n".join(
+        [
+            "{",
+            '  "alignment": {',
+            '    "empty": {},',
+            '    "losses": [],',
+            '    "nested": {',
+            '      "a": {',
+            '        "deep": [[1, 2], [3]]',
+            "      },",
+            '      "z": null',
+            "    },",
+            '    "permutations": [{"perm": [1, 0], "signs": [-1, 1]}, {"perm": [0, 1], "signs": [1, 1]}],',
+            '    "pivot_statistics": [Infinity, 1.5, -Infinity, 0.30000000000000004]',
+            "  },",
+            '  "count": 3,',
+            '  "flag": false,',
+            '  "note": "quote \\" and \\\\ and \\u00e9",',
+            '  "subcommand": "align"',
+            "}",
+        ]
+    )
+
+
 def test_report_is_deterministic_json(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     payload = {"zeta": 1.0 / 3.0, "alpha": [1, 2, 3]}
@@ -152,3 +236,47 @@ def test_report_is_deterministic_json(tmp_path):
     loaded = json.loads(a.read_text())
     assert loaded["schema_version"] == 1
     assert loaded["zeta"] == 1.0 / 3.0
+
+
+class FailingFile:
+    """A text file whose write number ``fail_at`` writes half its text, then fails."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.fail_at, self.writes = fh, fail_at, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            self.fh.write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("artifact", ["report", "dataset", "traces"])
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, artifact):
+    path = tmp_path / f"{artifact}.out"
+    old, new = np.arange(8.0).reshape(4, 2), np.arange(20.0).reshape(10, 2) / 3.0
+    writers = {
+        "report": lambda data: write_report(path, {"values": data.tolist()}),
+        "dataset": lambda data: write_dataset(path, data),
+        "traces": lambda data: write_traces(path, data, ["r0_c0", "r1_c0"]),
+    }
+    writers[artifact](old)
+    before = path.read_bytes()
+    real_open = Path.open
+    # The report is one write; a CSV writes its header, then one write per block.
+    monkeypatch.setattr(chainio, "_CSV_BLOCK_ROWS", 3)
+    monkeypatch.setattr(
+        Path, "open", lambda self, *a, **kw: FailingFile(real_open(self, *a, **kw), 1 if artifact == "report" else 3)
+    )
+    with pytest.raises(OSError, match="no space"):
+        writers[artifact](new)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_bytes() == before

@@ -405,10 +405,11 @@ def test_cli_pipeline_does_not_import_scipy_optimize(tmp_path):
 @pytest.mark.parametrize("scale", [1e160, 1e200])
 def test_align_overflowing_chain_exits_4_and_writes_nothing(tmp_path, capsys, scale):
     # Every matching distance overflows; this once exited 2 with
-    # "list.remove(x): x not in list".
+    # "list.remove(x): x not in list".  One column per sample: with two,
+    # varimax already fails on the overflow (see the test below).
     from factoralign import Chain, write_chain
 
-    samples = scale * np.random.default_rng(94).standard_normal((20, 6, 2))
+    samples = scale * np.random.default_rng(94).standard_normal((20, 6, 1))
     write_chain(tmp_path / "c", Chain(samples))
     with np.errstate(over="ignore", invalid="ignore"):
         code = run(["align", tmp_path / "c", "--out", tmp_path / "a"])
@@ -418,6 +419,30 @@ def test_align_overflowing_chain_exits_4_and_writes_nothing(tmp_path, capsys, sc
     assert not (tmp_path / "a.bin").exists()
     assert not (tmp_path / "a.json").exists()
     assert not (tmp_path / "a_report.json").exists()
+
+
+def test_align_varimax_overflow_exits_4_and_writes_nothing(tmp_path, capsys):
+    # Varimax once returned these samples unrotated and align exited 0.
+    from factoralign import Chain, write_chain
+
+    samples = np.random.default_rng(96).standard_normal((20, 6, 2))
+    samples[3:] *= 1e100
+    write_chain(tmp_path / "c", Chain(samples))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["align", tmp_path / "c", "--out", tmp_path / "a"])
+    assert code == 4
+    assert "error: sample 3: varimax objective is" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
+
+
+def test_oracle_check_stdout_uses_report_layout(capsys):
+    from factoralign.chainio import report_text
+
+    assert run(["oracle-check", "--p", 6, "--k", 2, "--trials", 3]) == 0
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert "schema_version" not in report
+    assert text == report_text(report) + "\n"
 
 
 def test_oracle_check_warns_about_unstable_matches_once(tmp_path, caplog):

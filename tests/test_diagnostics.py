@@ -226,6 +226,40 @@ def test_build_report_long_chain():
         assert aligned_only[key] == report[key]
 
 
+def test_build_report_takes_one_mean_gram_per_chain(monkeypatch):
+    from factoralign import diagnostics
+
+    rng = np.random.default_rng(97)
+    raw = Chain(rng.standard_normal((40, 5, 3)))
+    sp = random_signed_permutation(3, rng)
+    aligned = Chain(np.stack([apply_signed_permutation(s, sp) for s in raw.samples]))
+    want = build_report(raw, aligned)
+    grams = []
+    original = diagnostics._mean_gram
+
+    def counted(chain):
+        grams.append(id(chain))
+        return original(chain)
+
+    monkeypatch.setattr(diagnostics, "_mean_gram", counted)
+    assert build_report(raw, aligned) == want
+    assert grams == [id(raw), id(aligned)]
+    grams.clear()
+    build_report(None, aligned)
+    assert grams == [id(aligned)]
+    # The public metric is unchanged: it takes both grams itself.
+    grams.clear()
+    assert covariance_discrepancy(raw, aligned) == want["covariance_discrepancy_aligned"]
+    assert covariance_discrepancy(raw, raw) == want["covariance_discrepancy_raw"]
+    assert len(grams) == 4
+
+
+def test_build_report_rejects_mismatched_chains():
+    rng = np.random.default_rng(98)
+    with pytest.raises(ValueError, match="shapes differ"):
+        build_report(Chain(rng.standard_normal((12, 4, 2))), Chain(rng.standard_normal((11, 4, 2))))
+
+
 def test_build_report_short_chain_skips_ess():
     chain = Chain(np.ones((3, 4, 2)))
     report = build_report(chain, chain)

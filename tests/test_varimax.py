@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from factoralign import (
     Chain,
+    NumericalError,
     SampleError,
     VarimaxConfig,
     VarimaxResult,
@@ -36,7 +37,7 @@ def _pair_rotation(x: np.ndarray, y: np.ndarray, p: int) -> tuple[float, float]:
     den = p * c - (a * a - b * b)
     hyp = math.hypot(num, den)
     if den > 0:
-        gain = 0.25 * num * num / (hyp + den) if hyp + den > 0 else 0.0
+        gain = 0.25 * num * (num / (hyp + den))
     else:
         gain = 0.25 * (hyp - den)
     theta = 0.25 * math.atan2(num, den)
@@ -192,6 +193,59 @@ def test_rotate_idempotent_within_tolerance():
 def test_rotate_rejects_non_finite():
     with pytest.raises(ValueError):
         varimax_rotate(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_rotate_hadamard_pattern_from_zero_criterion(normalize):
+    # The criterion starts at exactly 0.0 without the objective being flat:
+    # a 45 degree turn takes it to 2.0, so a rule that left inputs at a
+    # rounding-level criterion unrotated would be wrong here.
+    m = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]]) / 2.0
+    assert varimax_criterion(m) == 0.0
+    res = varimax_rotate(m, VarimaxConfig(normalize=normalize))
+    assert res.converged
+    assert res.criterion == pytest.approx(2.0, abs=1e-12)
+    assert np.abs(np.abs(res.rotated) - np.sqrt(0.5) * np.eye(2)[[0, 1, 0, 1]]).max() <= 1e-12
+    np.testing.assert_array_equal(varimax_rotate(res.rotated).rotated, res.rotated)
+
+
+@pytest.mark.parametrize("scale", [1e77, 1e100, 1e200])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_rotate_overflowing_objective_raises(scale, normalize):
+    # These once came back unrotated with converged=True and criterion=nan.
+    m = scale * np.random.default_rng(26).standard_normal((20, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="objective is"):
+            varimax_rotate(m, VarimaxConfig(normalize=normalize))
+
+
+def test_rotate_overflowing_angle_terms_raise():
+    # Equal columns: the objective is 0, but p * sum(w * w) = -4 p^2 c^4 overflows.
+    m = np.full((4, 2), 4.7e76)
+    assert varimax_criterion(m) == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="angle terms of columns 0 and 1"):
+            varimax_rotate(m)
+
+
+@pytest.mark.parametrize("scale", [1e60, 1e75])
+def test_rotate_is_scale_equivariant_up_to_overflow(scale):
+    # The gain once squared the angle numerator, which overflows from about
+    # 1e39 on: every gain read inf, so sweeps ran on up to max_iterations.
+    m = np.random.default_rng(27).standard_normal((20, 4))
+    want = varimax_rotate(m)
+    got = varimax_rotate(scale * m)
+    assert got.converged and got.iterations == want.iterations
+    assert np.abs(got.rotated / scale - want.rotated).max() <= 1e-13
+    assert np.abs(got.rotation - want.rotation).max() <= 1e-13
+
+
+def test_orthogonalize_chain_names_overflowing_sample():
+    samples = np.random.default_rng(28).standard_normal((4, 8, 3))
+    samples[2] *= 1e100
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="^sample 2: varimax objective"):
+            orthogonalize_chain(Chain(samples))
 
 
 def test_kaiser_normalization_path():
