@@ -12,10 +12,29 @@ v = 2*x*y and w = u + iv.  Then a + ib = sum(w) and c + id = sum(w*w)
 (imaginary part) and denominator (real part) of the optimal angle,
 theta = atan2(Im q, Re q) / 4.  An accepted rotation multiplies x + iy by
 exp(-i*theta), for the working columns and the rotation's columns in one
-buffer.  Each pair thus costs a handful of numpy calls whatever p is.  u and
-v are formed by real products, as the closed form is written: squaring
-z = x + iy instead would give a real part x*x - y*y fused into one rounding,
-which leaves a residue where the real products cancel exactly (|x| = |y|).
+buffer.  u and v are formed by real products, as the closed form is written:
+squaring z = x + iy instead would give a real part x*x - y*y fused into one
+rounding, which leaves a residue where the real products cancel exactly
+(|x| = |y|).
+
+Stacks.  ``varimax_rotate`` takes one (p, k) matrix or a (T, p, k) stack of
+samples; a single matrix is rotated as a stack of one, by the same kernel.
+The kernel holds the stack as one (T, k, p + k) state: row j of sample t is
+column j of its working matrix followed by column j of its rotation.  Each
+pair step works on every active sample at once, with numpy calls over the
+sample axis, but the gain gate, the objective and the stopping rule are each
+sample's own: a rotation is applied only to the samples whose gain clears
+their gate.  A sample leaves the active set after its first sweep that
+applies no rotation (converged) or once it has run ``max_iterations`` sweeps
+(not converged), so the kernel runs as many sweeps as its slowest sample.
+Every per-sample reduction runs along one contiguous row, so a sample's
+result does not depend on the other samples in the stack: each sample of a
+stack call equals the single-matrix call on it.  For a stack, ``iterations``
+is the number of sweeps the kernel ran, the largest per-sample count, and
+``converged`` tells whether every sample converged; ``sample_iterations`` and
+``sample_converged`` hold both per sample.  Overflow is checked on every
+active sample, and the error names the first failing sample in index order,
+as a loop over the samples would.
 
 Limits.  The fixed point holds for generic tall inputs.  With exactly
 duplicated or negated columns a pair's angle sits on a tie of the objective,
@@ -35,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chain, NumericalError, SampleError, validate_loadings
+from .core import Chain, NumericalError, SampleError, all_finite, validate_loadings
 
 __all__ = [
     "VarimaxConfig",
@@ -76,168 +95,254 @@ class VarimaxConfig:
 
 @dataclass(frozen=True)
 class VarimaxResult:
+    """What :func:`varimax_rotate` returns.
+
+    For a (p, k) input ``rotated`` is (p, k), ``rotation`` (k, k) and
+    ``criterion`` a float; for a (T, p, k) stack they are (T, p, k),
+    (T, k, k) and (T,).  ``sample_iterations`` and ``sample_converged`` are
+    (T,) arrays of sweep counts and convergence flags, with T = 1 for a
+    single matrix.  ``iterations`` is their maximum, the sweeps the kernel
+    ran, and ``converged`` whether every sample converged.
+    """
+
     rotated: np.ndarray
     rotation: np.ndarray
     iterations: int
-    criterion: float
+    criterion: float | np.ndarray
     converged: bool
+    sample_iterations: np.ndarray
+    sample_converged: np.ndarray
 
 
-def _criterion(sq: np.ndarray) -> float:
-    """Raw varimax objective from the (p, k) squared loadings; no validation."""
+def _criteria(sq: np.ndarray) -> np.ndarray:
+    """Raw varimax objective per sample from (T, k, p) squared columns; no validation."""
     # np.add.reduce is the reduction np.sum runs, without its Python-level
     # wrappers, which cost more than the sums themselves at these sizes.
-    p = sq.shape[0]
-    return float(np.add.reduce(p * np.add.reduce(sq * sq) - np.add.reduce(sq) ** 2))
-
-
-def _checked_criterion(sq: np.ndarray) -> float:
-    crit = _criterion(sq)
-    if not math.isfinite(crit):
-        raise NumericalError(f"varimax objective is {crit}: fourth powers of the loadings overflow")
-    return crit
+    p = sq.shape[-1]
+    return np.add.reduce(
+        p * np.add.reduce(sq * sq, axis=-1) - np.add.reduce(sq, axis=-1) ** 2, axis=-1
+    )
 
 
 def varimax_criterion(m) -> float:
     """Raw varimax objective: sum over columns of p*sum(x^4) - (sum(x^2))^2."""
     arr = validate_loadings(m)
-    return _criterion(arr * arr)
+    return float(_criteria(np.square(np.ascontiguousarray(arr.T))))
+
+
+def _validate_stack(arr: np.ndarray) -> np.ndarray:
+    if min(arr.shape) < 1:
+        raise ValueError(f"loadings stack must be non-empty in every dimension, got {arr.shape}")
+    if not all_finite(arr):
+        t = int(np.argmin(np.isfinite(arr).all(axis=(1, 2))))
+        raise SampleError(t, "loadings contains non-finite entries")
+    return arr
+
+
+def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig, named: bool):
+    """The varimax kernel over a validated (T, p, k) stack.
+
+    Returns ``rotated``, ``rotation``, ``criterion``, ``sweeps`` and
+    ``converged``, each with a leading T axis.  Raises
+    :class:`NumericalError` for the first sample, in index order, whose
+    objective or angle terms overflow; ``named`` puts its index in the message.
+    """
+    t_len, p, k = arr.shape
+    sweeps = np.zeros(t_len, dtype=np.int64)
+    converged = np.ones(t_len, dtype=bool)
+    if k == 1:
+        criterion = _criteria(np.square(arr.reshape(t_len, 1, p)))
+        return arr.copy(), np.ones((t_len, 1, 1)), criterion, sweeps, converged
+
+    # The first failing sample, in index order, and its message.  Samples
+    # after it leave the active set; those before it run on, since one of
+    # them may still fail.
+    first_bad, failure = t_len, ""
+
+    def check_objective(values: np.ndarray, rows: np.ndarray) -> None:
+        nonlocal first_bad, failure
+        finite = np.isfinite(values)
+        if np.count_nonzero(finite) < len(finite):
+            i = int(np.argmin(finite))
+            if rows[i] < first_bad:
+                first_bad = int(rows[i])
+                failure = f"varimax objective is {values[i]}: fourth powers of the loadings overflow"
+
+    state = np.empty((t_len, k, p + k))
+    if cfg.normalize:
+        # Kaiser normalization; rotation preserves row norms, so returning
+        # arr @ R below already undoes the scaling.
+        row_norms = np.sqrt(np.sum(arr * arr, axis=2))
+        normalized = arr / np.where(row_norms > 0, row_norms, 1.0)[:, :, None]
+        state[:, :, :p] = normalized.transpose(0, 2, 1)
+    else:
+        state[:, :, :p] = arr.transpose(0, 2, 1)
+    state[:, :, p:] = np.eye(k)
+    sq = np.square(state[:, :, :p])
+    crit = _criteria(sq)
+    ids = np.arange(t_len)  # sample index of each active row
+    check_objective(crit, ids)
+    state, sq, crit, ids = state[:first_bad], sq[:first_bad], crit[:first_bad], ids[:first_bad]
+    rotation = np.empty((t_len, k, k))  # filled as samples finish
+
+    # Scratch for the whole stack, sliced to the active rows.  terms[:, 0] is
+    # w and terms[:, 1] is w * w, so one reduction gives a + ib and c + id.
+    terms_buf = np.empty((t_len, 2, p), dtype=np.complex128)
+    z_buf = np.empty((t_len, p + k), dtype=np.complex128)
+    angle_buf = np.zeros(t_len, dtype=np.complex128)  # real part stays 0
+    ratio_buf = np.zeros(t_len)
+    n_pairs = k * (k - 1) // 2
+    pairs = None
+    for sweep in range(1, cfg.max_iterations + 1):
+        n_active = len(ids)
+        if not n_active:
+            break
+        if pairs is None:
+            # Views of the active rows per column pair, in cyclic order: the
+            # two rows of the squares, working matrix and state, and both
+            # working and square rows through one strided slice.
+            work = state[:, :, :p]
+            pairs = [
+                (
+                    a, b, sq[:, a], sq[:, b], work[:, a], work[:, b],
+                    state[:, a], state[:, b], work[:, ab], sq[:, ab],
+                )
+                for a in range(k - 1)
+                for b in range(a + 1, k)
+                for ab in [slice(a, b + 1, b - a)]
+            ]
+            terms = terms_buf[:n_active]
+            w, ww = terms[:, 0], terms[:, 1]
+            u, v = w.real, w.imag
+            ratio = ratio_buf[:n_active]
+        # A rotation is skipped unless its predicted gain clears this gate, so
+        # a no-op sweep bounds the relative criterion improvement by the
+        # tolerance and leaves the matrix an exact fixed point.  Four times
+        # the gain is compared with four times the gate, which is exact.
+        gate4 = 4.0 * (cfg.tolerance * np.maximum(crit, _TINY) / n_pairs)
+        applied = np.zeros(n_active, dtype=bool)
+        for a, b, x_sq, y_sq, x, y, x_state, y_state, work_ab, sq_ab in pairs:
+            np.subtract(x_sq, y_sq, out=u)
+            np.multiply(x, y, out=v)
+            np.add(v, v, out=v)
+            np.multiply(w, w, out=ww)
+            sums = np.add.reduce(terms, axis=2)
+            q = p * sums[:, 1] - sums[:, 0] * sums[:, 0]
+            num, den = q.imag, q.real
+            hyp = np.hypot(num, den)
+            if not np.maximum.reduce(hyp) < _HYP_LIMIT:
+                bad = ~(hyp < _HYP_LIMIT)
+                t = int(ids[np.argmax(bad)])
+                if t < first_bad:
+                    first_bad, failure = t, f"varimax angle terms of columns {a} and {b} overflow"
+                num[bad] = den[bad] = hyp[bad] = 0.0  # no gain: not rotated
+            # hyp - den cancels catastrophically when num << den; use the stable
+            # form, dividing before multiplying so that num * num cannot overflow.
+            pos = den > 0
+            gain4 = np.add(hyp, np.abs(den))  # hyp - den where den <= 0
+            np.divide(num, gain4, out=ratio, where=pos)
+            np.multiply(num, ratio, out=gain4, where=pos)
+            accept = gain4 > gate4
+            n_accept = np.count_nonzero(accept)
+            if not n_accept:
+                continue
+            applied |= accept
+            z, angle = z_buf[:n_accept], angle_buf[:n_accept]
+            # + 0.0 maps -0.0 to +0.0, so a zero numerator over a negative
+            # den turns by +pi/4, not -pi/4.
+            if n_accept == n_active:  # every active sample turns: no gathers
+                np.multiply(np.arctan2(num + 0.0, den), -0.25, out=angle.imag)
+                z.real[...] = x_state
+                z.imag[...] = y_state
+                z *= np.exp(angle)[:, None]
+                x_state[...] = z.real
+                y_state[...] = z.imag
+            else:
+                rows = np.flatnonzero(accept)
+                np.multiply(np.arctan2(num[rows] + 0.0, den[rows]), -0.25, out=angle.imag)
+                z.real[...] = state[rows, a]
+                z.imag[...] = state[rows, b]
+                z *= np.exp(angle)[:, None]
+                state[rows, a] = z.real
+                state[rows, b] = z.imag
+            np.square(work_ab, out=sq_ab)
+
+        new_crit = _criteria(sq)
+        check_objective(new_crit, ids)
+        if cfg.debug:
+            fell = new_crit < crit - 1e-12 * np.maximum(1.0, crit)
+            assert not fell.any(), f"criterion fell within a sweep of sample {ids[np.argmax(fell)]}"
+        crit = new_crit
+        done = ~applied if sweep < cfg.max_iterations else np.ones(n_active, dtype=bool)
+        leave = done | (ids >= first_bad)
+        if np.count_nonzero(leave):
+            finished = done & (ids < first_bad)
+            rotation[ids[finished]] = state[finished, :, p:].transpose(0, 2, 1)
+            sweeps[ids[finished]] = sweep
+            converged[ids[finished]] = ~applied[finished]
+            keep = ~leave
+            state, sq, crit, ids = state[keep], sq[keep], crit[keep], ids[keep]
+            pairs = None
+
+    rotation = rotation[:first_bad]
+    rotated = arr[:first_bad] @ rotation
+    cols = np.ascontiguousarray(rotated.transpose(0, 2, 1))
+    criterion = _criteria(np.square(cols))
+    check_objective(criterion, np.arange(first_bad))
+    if first_bad < t_len:
+        raise NumericalError(f"sample {first_bad}: {failure}" if named else failure)
+    return rotated, rotation, criterion, sweeps, converged
 
 
 def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
     """Rotate ``m`` to a varimax optimum with an orthogonal k x k matrix.
 
-    Returns the rotated matrix, the accumulated rotation ``R`` (so that
-    ``rotated == m @ R`` up to round-off), the number of completed sweeps,
-    the raw varimax objective of the rotated matrix, and a convergence flag.
-    Non-convergence within ``max_iterations`` is reported, not raised.
-    Raises :class:`NumericalError` when the objective or a column pair's
-    angle terms overflow, as they do once entries exceed about 1e76; a single
-    column is returned as it is, with its criterion as computed.
+    ``m`` is one (p, k) matrix or a (T, p, k) stack of them, each rotated
+    on its own (see the module docstring).  Returns the rotated matrix, the
+    accumulated rotation ``R`` (so that ``rotated == m @ R`` up to
+    round-off), the number of completed sweeps, the raw varimax objective of
+    the rotated matrix, and a convergence flag.  Non-convergence within
+    ``max_iterations`` is reported, not raised.  Raises
+    :class:`NumericalError` when the objective or a column pair's angle
+    terms overflow, as they do once entries exceed about 1e76; a single
+    column is returned as it is, with its criterion as computed.  For a
+    stack, errors name the first bad sample: :class:`SampleError` for
+    non-finite entries and ``NumericalError("sample t: ...")`` for overflow.
     """
-    arr = validate_loadings(m)
     cfg = config or VarimaxConfig()
-    p, k = arr.shape
-    if k == 1:
-        return VarimaxResult(
-            rotated=arr.copy(),
-            rotation=np.eye(1),
-            iterations=0,
-            criterion=_criterion(arr * arr),
-            converged=True,
-        )
-
-    # Row j of ``state`` holds column j of the working matrix (p entries)
-    # followed by column j of the accumulated rotation (k entries), so one
-    # complex multiply rotates a column pair of both.
-    state = np.empty((k, p + k))
-    work = state[:, :p]
-    if cfg.normalize:
-        # Kaiser normalization; rotation preserves row norms, so returning
-        # arr @ R below already undoes the scaling.
-        row_norms = np.sqrt(np.sum(arr * arr, axis=1))
-        work[:] = (arr / np.where(row_norms > 0, row_norms, 1.0)[:, None]).T
-    else:
-        work[:] = arr.T
-    state[:, p:] = np.eye(k)
-    sq = work * work
-
-    w = np.empty(p, dtype=np.complex128)
-    u, v = w.real, w.imag
-    z = np.empty(p + k, dtype=np.complex128)
-    z_parts = z.view(np.float64).reshape(p + k, 2).T  # rows: z.real, z.imag
-    # Per column pair, in cyclic order: views of its two working rows and
-    # their squares, and the strided slice that selects both rows at once.
-    pairs = [
-        (work[a], work[b], sq[a], sq[b], slice(a, b + 1, b - a))
-        for a in range(k - 1)
-        for b in range(a + 1, k)
-    ]
-
-    crit = _checked_criterion(sq.T)
-    converged = False
-    sweeps = 0
-    for _ in range(cfg.max_iterations):
-        # A rotation is skipped unless its predicted gain clears this gate, so
-        # a no-op sweep bounds the relative criterion improvement by the
-        # tolerance and leaves the matrix an exact fixed point.
-        gate = cfg.tolerance * max(crit, _TINY) / len(pairs)
-        applied = False
-        for x, y, x_sq, y_sq, ab in pairs:
-            np.subtract(x_sq, y_sq, out=u)
-            np.multiply(x, y, out=v)
-            v *= 2.0
-            s = complex(np.add.reduce(w))  # w.sum() without its Python wrapper
-            q = p * complex(w.dot(w)) - s * s
-            # + 0.0 maps -0.0 to +0.0, so a zero numerator over a negative
-            # den turns by +pi/4, not -pi/4.
-            num = q.imag + 0.0
-            den = q.real
-            hyp = math.hypot(num, den)
-            if not hyp < _HYP_LIMIT:
-                raise NumericalError(
-                    f"varimax angle terms of columns {ab.start} and {ab.stop - 1} overflow"
-                )
-            # hyp - den cancels catastrophically when num << den; use the stable
-            # form, dividing before multiplying so that num * num cannot overflow.
-            if den > 0:
-                gain = 0.25 * num * (num / (hyp + den))
-            else:
-                gain = 0.25 * (hyp - den)
-            if not gain > gate:
-                continue
-            applied = True
-            theta = 0.25 * math.atan2(num, den)
-            np.copyto(z_parts, state[ab])
-            z *= complex(math.cos(theta), -math.sin(theta))
-            state[ab] = z_parts
-            np.multiply(work[ab], work[ab], out=sq[ab])
-        sweeps += 1
-        new_crit = _checked_criterion(sq.T)
-        if cfg.debug:
-            assert new_crit >= crit - 1e-12 * max(1.0, crit), "criterion decreased within a sweep"
-        crit = new_crit
-        if not applied:
-            converged = True
-            break
-
-    rotation = state[:, p:].T.copy()
-    rotated = arr @ rotation
+    arr = np.asarray(m, dtype=np.float64)
+    named = arr.ndim == 3
+    stack = _validate_stack(arr) if named else validate_loadings(arr)[None]
+    rotated, rotation, criterion, sweeps, converged = _rotate_stack(stack, cfg, named)
+    if not named:
+        rotated, rotation, criterion = rotated[0], rotation[0], float(criterion[0])
     return VarimaxResult(
         rotated=rotated,
         rotation=rotation,
-        iterations=sweeps,
-        criterion=_checked_criterion(rotated * rotated),
-        converged=converged,
+        iterations=int(sweeps.max()),
+        criterion=criterion,
+        converged=bool(converged.all()),
+        sample_iterations=sweeps,
+        sample_converged=converged,
     )
 
 
 def orthogonalize_chain(chain: Chain, config: VarimaxConfig | None = None) -> Chain:
-    """Apply :func:`varimax_rotate` to every sample of ``chain``.
+    """Varimax-rotate every sample of ``chain`` with one stack call of :func:`varimax_rotate`.
 
     Sample order is preserved and residual variances pass through untouched.
     Samples that hit ``max_iterations`` are kept and named in one warning.
-    A :class:`NumericalError` is raised again naming the sample.
+    Errors name the first bad sample (see :func:`varimax_rotate`).
     """
     cfg = config or VarimaxConfig()
-    rotated = np.empty(chain.samples.shape)
-    unconverged = []
-    for t, sample in enumerate(chain.samples):
-        try:
-            result = varimax_rotate(sample, cfg)
-        except ValueError as exc:
-            raise SampleError(t, str(exc)) from exc
-        except NumericalError as exc:
-            raise NumericalError(f"sample {t}: {exc}") from exc
-        rotated[t] = result.rotated
-        if not result.converged:
-            unconverged.append(t)
-    if unconverged:
+    result = varimax_rotate(chain.samples, cfg)
+    unconverged = np.flatnonzero(~result.sample_converged)
+    if unconverged.size:
         logger.warning(
             "varimax did not converge within %d sweeps for %d of %d samples; first: %s",
             cfg.max_iterations,
-            len(unconverged),
+            unconverged.size,
             chain.n_samples,
-            unconverged[:5],
+            unconverged[:5].tolist(),
         )
-    return Chain(rotated, chain.residual_variances)
+    return Chain(result.rotated, chain.residual_variances)

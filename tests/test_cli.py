@@ -140,7 +140,51 @@ def test_align_produces_chain_and_report(tmp_path):
     assert len(alignment["losses"]) == 40
     assert len(alignment["permutations"]) == 40
     assert report["diagnostics"]["covariance_discrepancy_raw"] >= 0.0
-    assert "elapsed_align_seconds" in report["timings"]
+    timings = report["timings"]
+    stages = ["read", "varimax", "pivot", "match", "write_chain", "diagnostics"]
+    assert sorted(timings) == sorted([f"{stage}_seconds" for stage in stages] + ["elapsed_align_seconds"])
+    assert all(timings[f"{stage}_seconds"] >= 0.0 for stage in stages)
+    aligning = timings["varimax_seconds"] + timings["pivot_seconds"] + timings["match_seconds"]
+    assert timings["elapsed_align_seconds"] == pytest.approx(aligning)
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    from factoralign import cli as cli_module
+
+    built = []
+    original = cli_module.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli_module, "build_parser", counted)
+    cli_module._parser.cache_clear()
+    try:
+        for _ in range(4):
+            assert run(["diagnose", "--out", tmp_path / "d"]) == 2
+    finally:
+        cli_module._parser.cache_clear()
+    assert len(built) == 1
+    assert original() is not original()
+
+
+def test_consecutive_commands_parse_independently(monkeypatch):
+    from factoralign import cli as cli_module
+
+    seen = []
+    for name in ("align", "diagnose"):
+        monkeypatch.setitem(cli_module._HANDLERS, name, lambda args: seen.append(vars(args)) or 0)
+    assert run(["align", "c1", "--out", "a1", "--kaiser-normalize", "--order", "natural", "--threads", 2]) == 0
+    assert run(["diagnose", "--raw", "c1", "--out", "d1"]) == 0
+    assert run(["align", "c2", "--out", "a2"]) == 0
+    assert run(["diagnose", "--aligned", "a2", "--traces", "0,0", "--out", "d2"]) == 0
+    first, second = seen[0], seen[2]
+    assert (first["kaiser_normalize"], first["order"], first["threads"]) == (True, "natural", 2)
+    assert (second["kaiser_normalize"], second["order"], second["threads"]) == (False, "norm", None)
+    assert (first["chain"], first["out"], second["chain"], second["out"]) == ("c1", "a1", "c2", "a2")
+    assert seen[1] == {"subcommand": "diagnose", "raw": "c1", "aligned": None, "traces": None, "out": "d1"}
+    assert seen[3] == {"subcommand": "diagnose", "raw": None, "aligned": "a2", "traces": "0,0", "out": "d2"}
 
 
 def test_align_and_diagnose_share_diagnostics(tmp_path, monkeypatch):

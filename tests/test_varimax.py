@@ -54,7 +54,7 @@ def loop_varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult
     cfg = config or VarimaxConfig()
     p, k = arr.shape
     if k == 1:
-        return VarimaxResult(arr.copy(), np.eye(1), 0, varimax_criterion(arr), True)
+        return _loop_result(arr.copy(), np.eye(1), 0, varimax_criterion(arr), True)
     if cfg.normalize:
         row_norms = np.sqrt(np.sum(arr * arr, axis=1))
         work = arr / np.where(row_norms > 0, row_norms, 1.0)[:, None]
@@ -92,7 +92,13 @@ def loop_varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult
             converged = True
             break
     rotated = arr @ rotation
-    return VarimaxResult(rotated, rotation, sweeps, varimax_criterion(rotated), converged)
+    return _loop_result(rotated, rotation, sweeps, varimax_criterion(rotated), converged)
+
+
+def _loop_result(rotated, rotation, sweeps, criterion, converged) -> VarimaxResult:
+    return VarimaxResult(
+        rotated, rotation, sweeps, criterion, converged, np.array([sweeps]), np.array([converged])
+    )
 
 
 def grid_max_criterion(m: np.ndarray, n_grid: int = 100_000) -> float:
@@ -373,21 +379,161 @@ def test_rotate_equals_pair_loop(seed, shape, log_scale, normalize, max_iteratio
     assert abs(got.criterion - want.criterion) <= 1e-12 * abs(want.criterion)
 
 
-def test_orthogonalize_chain_calls_varimax_rotate_once_per_sample(monkeypatch):
-    # The benchmark's traced run counts sweeps by wrapping this module global;
-    # a batched path that bypassed it would leave its sweep metrics empty.
+def test_orthogonalize_chain_calls_varimax_rotate_once_per_chain(monkeypatch):
+    # The benchmark's traced run wraps this module global and reads a scalar
+    # iterations and converged from every call.
     calls = []
     original = varimax_module.varimax_rotate
 
     def counted(*args, **kwargs):
         result = original(*args, **kwargs)
-        calls.append((result.iterations, result.converged))
+        calls.append(result)
         return result
 
     monkeypatch.setattr(varimax_module, "varimax_rotate", counted)
     chain = Chain(np.random.default_rng(25).standard_normal((7, 10, 3)))
     orthogonalize_chain(chain, VarimaxConfig(max_iterations=2))
-    assert len(calls) == 7
-    for iterations, converged in calls:
-        assert type(iterations) is int and iterations >= 1
-        assert type(converged) is bool
+    assert len(calls) == 1
+    result = calls[0]
+    assert type(result.iterations) is int and result.iterations == 2
+    assert type(result.converged) is bool
+    assert result.sample_iterations.shape == result.sample_converged.shape == (7,)
+    assert result.iterations == result.sample_iterations.max()
+    assert result.converged == result.sample_converged.all()
+
+
+def _mixed_stack(rng, t_len, shape, scale, converged_first):
+    """Gaussian samples, some replaced by a varimax optimum (one sweep to converge)."""
+    stack = scale * rng.standard_normal((t_len, *shape))
+    for t, fast in enumerate(converged_first):
+        if fast:
+            stack[t] = loop_varimax_rotate(stack[t]).rotated
+    return stack
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.integers(1, 8).flatmap(lambda k: st.tuples(st.integers(k, 60), st.just(k))),
+    log_scale=st.floats(-3.0, 3.0),
+    normalize=st.booleans(),
+    max_iterations=st.sampled_from([1, 3, 1000]),
+    converged_first=st.lists(st.booleans(), min_size=1, max_size=6),
+)
+def test_stack_equals_pair_loop_per_sample(
+    seed, shape, log_scale, normalize, max_iterations, converged_first
+):
+    """A stack call takes, per sample, every step the per-pair loop takes.
+
+    Samples that converge in one sweep sit next to slow ones, so the active
+    set shrinks while the others sweep on; ``max_iterations`` of 3 leaves
+    some samples unconverged and others not.  Same input space and
+    tolerances as ``test_rotate_equals_pair_loop``.
+    """
+    rng = np.random.default_rng(seed)
+    stack = _mixed_stack(rng, len(converged_first), shape, 10.0**log_scale, converged_first)
+    cfg = VarimaxConfig(max_iterations=max_iterations, normalize=normalize)
+    got = varimax_rotate(stack, cfg)
+    wants = [loop_varimax_rotate(m, cfg) for m in stack]
+    np.testing.assert_array_equal(got.sample_iterations, [w.iterations for w in wants])
+    np.testing.assert_array_equal(got.sample_converged, [w.converged for w in wants])
+    assert got.iterations == max(w.iterations for w in wants)
+    assert got.converged == all(w.converged for w in wants)
+    for t, want in enumerate(wants):
+        scale = np.abs(stack[t]).max()
+        assert np.abs(got.rotated[t] - want.rotated).max() <= 1e-12 * scale
+        assert np.abs(got.rotation[t] - want.rotation).max() <= 1e-12
+        assert abs(got.criterion[t] - want.criterion) <= 1e-12 * abs(want.criterion)
+
+
+def test_stack_leaves_unconverged_samples_unconverged():
+    rng = np.random.default_rng(29)
+    stack = _mixed_stack(rng, 6, (15, 4), 1.0, [True, False, True, False, False, True])
+    res = varimax_rotate(stack, VarimaxConfig(max_iterations=2))
+    np.testing.assert_array_equal(res.sample_iterations, [1, 2, 1, 2, 2, 1])
+    np.testing.assert_array_equal(res.sample_converged, [True, False, True, False, False, True])
+    assert res.iterations == 2 and not res.converged
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("max_iterations", [3, 1000])
+def test_stack_rows_equal_single_calls(normalize, max_iterations):
+    # Bitwise: a sample's arithmetic does not depend on the rest of the stack.
+    rng = np.random.default_rng(30)
+    stack = _mixed_stack(rng, 50, (12, 4), 1.0, rng.random(50) < 0.3)
+    cfg = VarimaxConfig(max_iterations=max_iterations, normalize=normalize)
+    got = varimax_rotate(stack, cfg)
+    for t, m in enumerate(stack):
+        one = varimax_rotate(m, cfg)
+        np.testing.assert_array_equal(got.rotated[t], one.rotated)
+        np.testing.assert_array_equal(got.rotation[t], one.rotation)
+        assert got.criterion[t] == one.criterion
+        assert got.sample_iterations[t] == one.iterations
+        assert got.sample_converged[t] == one.converged
+        assert one.sample_iterations.tolist() == [one.iterations]
+
+
+def test_stack_fixed_point_is_bitwise():
+    rng = np.random.default_rng(31)
+    first = varimax_rotate(rng.standard_normal((40, 14, 4)))
+    assert first.converged
+    second = varimax_rotate(first.rotated)
+    np.testing.assert_array_equal(second.rotated, first.rotated)
+    np.testing.assert_array_equal(second.sample_iterations, np.ones(40))
+
+
+def test_stack_k1_is_identity():
+    stack = np.random.default_rng(32).standard_normal((3, 5, 1))
+    res = varimax_rotate(stack)
+    np.testing.assert_array_equal(res.rotated, stack)
+    np.testing.assert_array_equal(res.rotation, np.ones((3, 1, 1)))
+    assert res.iterations == 0 and res.converged
+    assert res.criterion.shape == (3,)
+
+
+def test_stack_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="non-empty"):
+        varimax_rotate(np.zeros((0, 4, 2)))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        varimax_rotate(np.zeros((2, 3, 4, 2)))
+
+
+def test_stack_names_first_non_finite_sample():
+    stack = np.ones((5, 4, 2))
+    stack[3, 0, 0] = np.nan
+    stack[1, 2, 1] = np.inf
+    with pytest.raises(SampleError, match="^sample 1: ") as info:
+        varimax_rotate(stack)
+    assert info.value.index == 1
+    chain = Chain(np.ones((5, 4, 2)))
+    object.__setattr__(chain, "samples", stack)  # bypass Chain validation
+    with pytest.raises(SampleError, match="^sample 1: "):
+        orthogonalize_chain(chain)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_stack_names_first_overflowing_sample(normalize):
+    # With normalize the working matrices stay small; the rotated objective
+    # overflows at the end instead of at the start.
+    stack = np.random.default_rng(33).standard_normal((6, 8, 3))
+    stack[[2, 4]] *= 1e100
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="^sample 2: varimax objective"):
+            varimax_rotate(stack, VarimaxConfig(normalize=normalize))
+        with pytest.raises(NumericalError, match="^sample 2: varimax objective"):
+            orthogonalize_chain(Chain(stack), VarimaxConfig(normalize=normalize))
+
+
+def test_stack_names_first_failing_sample_across_failure_kinds():
+    # Sample 3's objective overflows before the first sweep; sample 1's angle
+    # terms only overflow during it.  A loop over the samples meets sample 1
+    # first, and so does the stack call.
+    stack = np.random.default_rng(34).standard_normal((5, 4, 2))
+    stack[1] = 4.7e76
+    stack[3] *= 1e100
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="^sample 1: varimax angle terms"):
+            varimax_rotate(stack)
+        stack[1] = 1.0
+        with pytest.raises(NumericalError, match="^sample 3: varimax objective"):
+            varimax_rotate(stack)
