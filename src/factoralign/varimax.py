@@ -32,9 +32,18 @@ result does not depend on the other samples in the stack: each sample of a
 stack call equals the single-matrix call on it.  For a stack, ``iterations``
 is the number of sweeps the kernel ran, the largest per-sample count, and
 ``converged`` tells whether every sample converged; ``sample_iterations`` and
-``sample_converged`` hold both per sample.  Overflow is checked on every
-active sample, and the error names the first failing sample in index order,
-as a loop over the samples would.
+``sample_converged`` hold both per sample.
+
+Scale.  The kernel rotates each sample at the power-of-two scale 2**-e that
+puts its largest |entry| in [0.5, 1), before Kaiser normalization.  Scaling
+by a power of two is exact, and every sweep term (u, v, q, the gain, the
+gate and the angle) scales with it, so the rotation is the one the sample
+would get at its own scale, barring underflow and overflow there.  The
+working rows keep norm <= sqrt(k) under rotation, so |q| <= 2 p^2 k^2 and no
+sweep term can overflow; tiny loadings rotate as they would at unit scale.
+The rotated stack and its objective are computed at the input's scale, and
+the objective is the one value checked for overflow: the error names the
+first sample whose objective is not finite.
 
 Limits.  The fixed point holds for generic tall inputs.  With exactly
 duplicated or negated columns a pair's angle sits on a tie of the objective,
@@ -49,7 +58,6 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +75,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TINY = 1e-300
-# Below this bound hyp +- den stays finite; nan and inf fail the comparison.
-_HYP_LIMIT = 0.5 * sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -78,13 +84,12 @@ class VarimaxConfig:
     ``tolerance`` bounds the relative objective improvement per full sweep
     below which iteration stops.  ``normalize`` enables Kaiser row
     normalization (rows scaled to unit length during rotation and rescaled
-    afterwards).  ``debug`` asserts per-sweep monotonicity of the objective.
+    afterwards).
     """
 
     max_iterations: int = 1000
     tolerance: float = 1e-8
     normalize: bool = False
-    debug: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -124,10 +129,28 @@ def _criteria(sq: np.ndarray) -> np.ndarray:
     )
 
 
+def _finite_criteria(stack: np.ndarray, named: bool) -> np.ndarray:
+    """Raw varimax objective per sample of a (T, p, k) stack.
+
+    Raises :class:`NumericalError` for the first sample, in index order,
+    whose objective is not finite; ``named`` puts its index in the message.
+    """
+    criterion = _criteria(np.square(np.ascontiguousarray(stack.transpose(0, 2, 1))))
+    finite = np.isfinite(criterion)
+    if np.count_nonzero(finite) < len(finite):
+        t = int(np.argmin(finite))
+        message = f"varimax objective is {criterion[t]}: fourth powers of the loadings overflow"
+        raise NumericalError(f"sample {t}: {message}" if named else message)
+    return criterion
+
+
 def varimax_criterion(m) -> float:
-    """Raw varimax objective: sum over columns of p*sum(x^4) - (sum(x^2))^2."""
-    arr = validate_loadings(m)
-    return float(_criteria(np.square(np.ascontiguousarray(arr.T))))
+    """Raw varimax objective: sum over columns of p*sum(x^4) - (sum(x^2))^2.
+
+    Raises :class:`NumericalError` when it overflows, as it does once
+    entries exceed about 1e77.
+    """
+    return float(_finite_criteria(validate_loadings(m)[None], named=False)[0])
 
 
 def _validate_stack(arr: np.ndarray) -> np.ndarray:
@@ -139,51 +162,32 @@ def _validate_stack(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig, named: bool):
-    """The varimax kernel over a validated (T, p, k) stack.
+def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig):
+    """Cyclic pair sweeps over a validated (T, p, k) stack with k >= 2.
 
-    Returns ``rotated``, ``rotation``, ``criterion``, ``sweeps`` and
-    ``converged``, each with a leading T axis.  Raises
-    :class:`NumericalError` for the first sample, in index order, whose
-    objective or angle terms overflow; ``named`` puts its index in the message.
+    Returns ``rotation``, ``sweeps`` and ``converged``, each with a leading
+    T axis.  Each sample is rotated at the power-of-two scale that puts its
+    largest |entry| in [0.5, 1) (see the module docstring), so no step of
+    the sweep can overflow.
     """
     t_len, p, k = arr.shape
-    sweeps = np.zeros(t_len, dtype=np.int64)
-    converged = np.ones(t_len, dtype=bool)
-    if k == 1:
-        criterion = _criteria(np.square(arr.reshape(t_len, 1, p)))
-        return arr.copy(), np.ones((t_len, 1, 1)), criterion, sweeps, converged
-
-    # The first failing sample, in index order, and its message.  Samples
-    # after it leave the active set; those before it run on, since one of
-    # them may still fail.
-    first_bad, failure = t_len, ""
-
-    def check_objective(values: np.ndarray, rows: np.ndarray) -> None:
-        nonlocal first_bad, failure
-        finite = np.isfinite(values)
-        if np.count_nonzero(finite) < len(finite):
-            i = int(np.argmin(finite))
-            if rows[i] < first_bad:
-                first_bad = int(rows[i])
-                failure = f"varimax objective is {values[i]}: fourth powers of the loadings overflow"
-
+    _, exponent = np.frexp(np.max(np.abs(arr), axis=(1, 2)))
+    scaled = np.ldexp(arr, -exponent[:, None, None])
     state = np.empty((t_len, k, p + k))
     if cfg.normalize:
         # Kaiser normalization; rotation preserves row norms, so returning
-        # arr @ R below already undoes the scaling.
-        row_norms = np.sqrt(np.sum(arr * arr, axis=2))
-        normalized = arr / np.where(row_norms > 0, row_norms, 1.0)[:, :, None]
-        state[:, :, :p] = normalized.transpose(0, 2, 1)
-    else:
-        state[:, :, :p] = arr.transpose(0, 2, 1)
+        # arr @ R already undoes the scaling.
+        row_norms = np.sqrt(np.sum(scaled * scaled, axis=2))
+        scaled = scaled / np.where(row_norms > 0, row_norms, 1.0)[:, :, None]
+    state[:, :, :p] = scaled.transpose(0, 2, 1)
     state[:, :, p:] = np.eye(k)
     sq = np.square(state[:, :, :p])
     crit = _criteria(sq)
     ids = np.arange(t_len)  # sample index of each active row
-    check_objective(crit, ids)
-    state, sq, crit, ids = state[:first_bad], sq[:first_bad], crit[:first_bad], ids[:first_bad]
-    rotation = np.empty((t_len, k, k))  # filled as samples finish
+    # Filled as samples finish.
+    rotation = np.empty((t_len, k, k))
+    sweeps = np.empty(t_len, dtype=np.int64)
+    converged = np.empty(t_len, dtype=bool)
 
     # Scratch for the whole stack, sliced to the active rows.  terms[:, 0] is
     # w and terms[:, 1] is w * w, so one reduction gives a + ib and c + id.
@@ -230,12 +234,6 @@ def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig, named: bool):
             q = p * sums[:, 1] - sums[:, 0] * sums[:, 0]
             num, den = q.imag, q.real
             hyp = np.hypot(num, den)
-            if not np.maximum.reduce(hyp) < _HYP_LIMIT:
-                bad = ~(hyp < _HYP_LIMIT)
-                t = int(ids[np.argmax(bad)])
-                if t < first_bad:
-                    first_bad, failure = t, f"varimax angle terms of columns {a} and {b} overflow"
-                num[bad] = den[bad] = hyp[bad] = 0.0  # no gain: not rotated
             # hyp - den cancels catastrophically when num << den; use the stable
             # form, dividing before multiplying so that num * num cannot overflow.
             pos = den > 0
@@ -267,31 +265,17 @@ def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig, named: bool):
                 state[rows, b] = z.imag
             np.square(work_ab, out=sq_ab)
 
-        new_crit = _criteria(sq)
-        check_objective(new_crit, ids)
-        if cfg.debug:
-            fell = new_crit < crit - 1e-12 * np.maximum(1.0, crit)
-            assert not fell.any(), f"criterion fell within a sweep of sample {ids[np.argmax(fell)]}"
-        crit = new_crit
+        crit = _criteria(sq)
         done = ~applied if sweep < cfg.max_iterations else np.ones(n_active, dtype=bool)
-        leave = done | (ids >= first_bad)
-        if np.count_nonzero(leave):
-            finished = done & (ids < first_bad)
-            rotation[ids[finished]] = state[finished, :, p:].transpose(0, 2, 1)
-            sweeps[ids[finished]] = sweep
-            converged[ids[finished]] = ~applied[finished]
-            keep = ~leave
+        if np.count_nonzero(done):
+            finished = ids[done]
+            rotation[finished] = state[done, :, p:].transpose(0, 2, 1)
+            sweeps[finished] = sweep
+            converged[finished] = ~applied[done]
+            keep = ~done
             state, sq, crit, ids = state[keep], sq[keep], crit[keep], ids[keep]
             pairs = None
-
-    rotation = rotation[:first_bad]
-    rotated = arr[:first_bad] @ rotation
-    cols = np.ascontiguousarray(rotated.transpose(0, 2, 1))
-    criterion = _criteria(np.square(cols))
-    check_objective(criterion, np.arange(first_bad))
-    if first_bad < t_len:
-        raise NumericalError(f"sample {first_bad}: {failure}" if named else failure)
-    return rotated, rotation, criterion, sweeps, converged
+    return rotation, sweeps, converged
 
 
 def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
@@ -302,18 +286,27 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
     accumulated rotation ``R`` (so that ``rotated == m @ R`` up to
     round-off), the number of completed sweeps, the raw varimax objective of
     the rotated matrix, and a convergence flag.  Non-convergence within
-    ``max_iterations`` is reported, not raised.  Raises
-    :class:`NumericalError` when the objective or a column pair's angle
-    terms overflow, as they do once entries exceed about 1e76; a single
-    column is returned as it is, with its criterion as computed.  For a
-    stack, errors name the first bad sample: :class:`SampleError` for
-    non-finite entries and ``NumericalError("sample t: ...")`` for overflow.
+    ``max_iterations`` is reported, not raised.  The rotation does not
+    depend on the scale of ``m``: tiny loadings rotate as they would at unit
+    scale.  A single column is returned as it is.  Raises
+    :class:`NumericalError` when the objective of the rotated matrix
+    overflows, as it does once entries exceed about 1e77.  For a stack,
+    errors name the first bad sample: :class:`SampleError` for non-finite
+    entries and ``NumericalError("sample t: ...")`` for overflow.
     """
     cfg = config or VarimaxConfig()
     arr = np.asarray(m, dtype=np.float64)
     named = arr.ndim == 3
     stack = _validate_stack(arr) if named else validate_loadings(arr)[None]
-    rotated, rotation, criterion, sweeps, converged = _rotate_stack(stack, cfg, named)
+    t_len, _, k = stack.shape
+    if k == 1:
+        rotation = np.ones((t_len, 1, 1))
+        sweeps = np.zeros(t_len, dtype=np.int64)
+        converged = np.ones(t_len, dtype=bool)
+    else:
+        rotation, sweeps, converged = _rotate_stack(stack, cfg)
+    rotated = stack @ rotation
+    criterion = _finite_criteria(rotated, named)
     if not named:
         rotated, rotation, criterion = rotated[0], rotation[0], float(criterion[0])
     return VarimaxResult(

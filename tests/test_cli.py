@@ -449,8 +449,8 @@ def test_cli_pipeline_does_not_import_scipy_optimize(tmp_path):
 @pytest.mark.parametrize("scale", [1e160, 1e200])
 def test_align_overflowing_chain_exits_4_and_writes_nothing(tmp_path, capsys, scale):
     # Every matching distance overflows; this once exited 2 with
-    # "list.remove(x): x not in list".  One column per sample: with two,
-    # varimax already fails on the overflow (see the test below).
+    # "list.remove(x): x not in list".  Varimax now fails first, on the
+    # objective of the one column, as it does for two (see the test below).
     from factoralign import Chain, write_chain
 
     samples = scale * np.random.default_rng(94).standard_normal((20, 6, 1))
@@ -458,8 +458,7 @@ def test_align_overflowing_chain_exits_4_and_writes_nothing(tmp_path, capsys, sc
     with np.errstate(over="ignore", invalid="ignore"):
         code = run(["align", tmp_path / "c", "--out", tmp_path / "a"])
     assert code == 4
-    # Sample 0 is the pivot, which matches itself at distance 0.
-    assert "sample 1: matching distance" in capsys.readouterr().err
+    assert "sample 0: varimax objective" in capsys.readouterr().err
     assert not (tmp_path / "a.bin").exists()
     assert not (tmp_path / "a.json").exists()
     assert not (tmp_path / "a_report.json").exists()

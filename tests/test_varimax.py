@@ -155,11 +155,15 @@ def test_rotate_matches_grid_oracle():
 
 
 def test_rotate_never_decreases_criterion():
+    # A run capped at s sweeps is exactly the state after s sweeps.
     rng = np.random.default_rng(12)
     for _ in range(10):
         m = rng.standard_normal((10, 4))
-        res = varimax_rotate(m, VarimaxConfig(debug=True))
-        assert res.criterion >= varimax_criterion(m) - 1e-12
+        previous = varimax_criterion(m)
+        for cap in range(1, varimax_rotate(m).iterations + 1):
+            crit = varimax_rotate(m, VarimaxConfig(max_iterations=cap)).criterion
+            assert crit >= previous - 1e-12 * max(1.0, previous), cap
+            previous = crit
 
 
 def test_rotation_is_orthogonal():
@@ -225,13 +229,46 @@ def test_rotate_overflowing_objective_raises(scale, normalize):
             varimax_rotate(m, VarimaxConfig(normalize=normalize))
 
 
+def test_one_column_and_criterion_overflow_raise():
+    # These once returned a nan criterion without an error.
+    m = 1e100 * np.random.default_rng(26).standard_normal((20, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="^varimax objective is"):
+            varimax_rotate(m)
+        with pytest.raises(NumericalError, match="^sample 1: varimax objective is"):
+            varimax_rotate(np.stack([m / 1e100, m]))
+        with pytest.raises(NumericalError, match="^varimax objective is"):
+            varimax_criterion(m)
+
+
 def test_rotate_overflowing_angle_terms_raise():
-    # Equal columns: the objective is 0, but p * sum(w * w) = -4 p^2 c^4 overflows.
+    # Equal columns: the objective is 0, but p * sum(w * w) = -4 p^2 c^4 would
+    # overflow at this scale; this once raised NumericalError.
     m = np.full((4, 2), 4.7e76)
     assert varimax_criterion(m) == 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="angle terms of columns 0 and 1"):
-            varimax_rotate(m)
+    res = varimax_rotate(m)
+    np.testing.assert_array_equal(res.rotation, varimax_rotate(np.ldexp(m, -254)).rotation)
+
+
+@pytest.mark.parametrize("exponent", [-400, -300, -120, 60, 250])
+def test_rotate_is_bitwise_scale_equivariant_at_powers_of_two(exponent):
+    # From 2^-300 down the fourth powers once underflowed: the input came
+    # back unrotated after 1 sweep with converged=True.
+    m = np.random.default_rng(29).standard_normal((20, 4))
+    want = varimax_rotate(m)
+    got = varimax_rotate(np.ldexp(m, exponent))
+    np.testing.assert_array_equal(got.rotation, want.rotation)
+    assert got.iterations == want.iterations and got.converged
+
+
+def test_stack_rotates_each_sample_at_its_own_scale():
+    samples = np.random.default_rng(30).standard_normal((3, 12, 3))
+    exponents = np.array([-300, 0, 200])
+    res = varimax_rotate(np.ldexp(samples, exponents[:, None, None]))
+    for t, sample in enumerate(samples):
+        want = varimax_rotate(sample)
+        np.testing.assert_array_equal(res.rotation[t], want.rotation)
+        assert res.sample_iterations[t] == want.iterations
 
 
 @pytest.mark.parametrize("scale", [1e60, 1e75])
@@ -525,15 +562,12 @@ def test_stack_names_first_overflowing_sample(normalize):
 
 
 def test_stack_names_first_failing_sample_across_failure_kinds():
-    # Sample 3's objective overflows before the first sweep; sample 1's angle
-    # terms only overflow during it.  A loop over the samples meets sample 1
-    # first, and so does the stack call.
+    # Sample 1's angle terms once overflowed during the first sweep and were
+    # named first; rotated at its own scale it no longer fails, so the stack
+    # names sample 3, whose objective overflows.
     stack = np.random.default_rng(34).standard_normal((5, 4, 2))
     stack[1] = 4.7e76
     stack[3] *= 1e100
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="^sample 1: varimax angle terms"):
-            varimax_rotate(stack)
-        stack[1] = 1.0
         with pytest.raises(NumericalError, match="^sample 3: varimax objective"):
             varimax_rotate(stack)
