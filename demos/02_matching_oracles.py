@@ -64,7 +64,7 @@ for noise in (0.01, 0.5, 2.0):
     )
 
 print(
-    "\nThe greedy matcher evaluates k(k+1) candidate distances per sample "
-    "(drop-after-match), so its cost grows quadratically in k and the whole "
-    "chain loop is embarrassingly parallel."
+    "\nThe greedy matcher computes all 2k^2 signed candidate distances per sample, "
+    "so its cost grows quadratically in k, and it runs on a whole chain as one "
+    "batched kernel over samples."
 )

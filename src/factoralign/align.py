@@ -1,21 +1,25 @@
 """Signed-permutation matching of loadings columns against a pivot.
 
-``greedy_match`` walks the sample's columns (largest norm first by default),
+The greedy rule walks a sample's columns (largest norm first by default),
 assigns each to its nearest remaining signed pivot column, and drops the
-matched column and its negative from the candidate pool.  The two exact
-matchers exist as quality baselines and test oracles: an assignment-solver
-optimum and a small-k exhaustive search.
+matched column and its negative from the candidate pool.  One kernel,
+``_greedy_match_chain``, applies the rule to a whole ``(T, p, k)`` stack:
+``align_chain`` calls it on the chain, and ``greedy_match`` on one sample
+as a stack of one.  The kernel computes every squared distance
+|a_j -+ p_h|^2 into one ``(T, k, 2k)`` stack interleaved as
+(+p_0, -p_0, +p_1, ...), then takes k masked ``argmin`` steps over all
+samples: step i picks each sample's i-th source column and sets the two
+slots of its matched pivot column to +inf.  ``argmin`` returns the first
+minimum, so ties go to the lower pivot index and then to the + sign.  Each
+distance is an exact dot product of the difference with itself; the cheaper
+gram form |a|^2 + |p|^2 -+ 2 a.p rounds differently and can flip a near tie.
+The tests hold the rule as a per-sample, per-column scan
+(``_greedy_match_stats`` in ``tests/test_align.py``), which counts the
+distances and norms the rule evaluates, and check the kernel against it
+bitwise.
 
-``align_chain`` runs the same greedy rule on all T samples at once.  It
-computes every squared distance |a_j -+ p_h|^2 into one ``(T, k, 2k)`` stack
-interleaved as (+p_0, -p_0, +p_1, ...), then takes k masked ``argmin`` steps
-over the whole chain: step i picks each sample's i-th source column and sets
-the two slots of its matched pivot column to +inf.  ``argmin`` returns the
-first minimum, so ties go to the lower pivot index and then to the + sign,
-exactly as the per-sample scan resolves them.  Each distance is an exact dot
-product of the difference with itself, the arithmetic of the per-sample scan,
-so the two give bitwise-equal matches and losses; the cheaper gram form
-|a|^2 + |p|^2 -+ 2 a.p rounds differently and can flip a near tie.
+The two exact matchers exist as quality baselines and test oracles: an
+assignment-solver optimum and a small-k exhaustive search.
 """
 
 from __future__ import annotations
@@ -80,11 +84,11 @@ class AlignmentReport:
     convention: aligned column j of sample t is
     ``signs[t, j] * samples[t][:, perm[t, j]]``.
 
-    ``comparisons_per_sample`` is the number of candidate distances the
-    greedy rule scans per sample (k(k+1) under the drop-after-match rule)
-    plus the k ordering norms when sorting by norm.  It counts the rule's
-    work, not the kernel's: the batched kernel computes all 2k^2 distances
-    of every sample up front.
+    ``comparisons_per_sample`` counts the greedy rule's work per sample, as
+    the tests' per-column scan evaluates it: k(k+1) candidate distances under
+    the drop-after-match rule, plus the k ordering norms when sorting by
+    norm.  It is not the kernel's work: the one batched kernel computes all
+    2k^2 distances of every sample up front.
     """
 
     perm: np.ndarray
@@ -113,71 +117,22 @@ def _unstable_d2(pivot: np.ndarray) -> float:
     return UNSTABLE_DISTANCE_FRACTION**2 * float(np.max(np.einsum("ij,ij->j", pivot, pivot)))
 
 
-def _greedy_match_stats(
-    a: np.ndarray, pivot: np.ndarray, cfg: MatchConfig
-) -> tuple[SignedPermutation, int, int, int]:
-    """Greedy matcher returning (match, distance evals, norm evals, unstable count).
-
-    Inputs are assumed validated (chain samples already are); ordering uses
-    squared norms, which sort identically to norms.
-    """
-    k = a.shape[1]
-    if cfg.order is MatchOrder.BY_DESCENDING_NORM:
-        sq_norms = np.einsum("ij,ij->j", a, a).tolist()
-        # Descending norm, ties to the lower source index.
-        source_order = sorted(range(k), key=lambda j: (-sq_norms[j], j))
-        n_norm_evals = k
-    else:
-        source_order = range(k)
-        n_norm_evals = 0
-
-    sample_cols = np.ascontiguousarray(a.T)
-    pivot_cols = np.ascontiguousarray(pivot.T)
-    unstable_d2 = _unstable_d2(pivot)
-
-    available = list(range(k))
-    perm = np.empty(k, dtype=np.intp)
-    signs = np.empty(k, dtype=np.int64)
-    n_distance_evals = 0
-    n_unstable = 0
-    for j in source_order:
-        col = sample_cols[j]
-        best_d2 = np.inf
-        best_h = -1
-        best_sign = 1
-        # Candidates scanned in ascending pivot index, + before -, so ties
-        # resolve to the lower index and the positive sign.
-        for h in available:
-            diff = col - pivot_cols[h]
-            d2_plus = float(diff @ diff)
-            summ = col + pivot_cols[h]
-            d2_minus = float(summ @ summ)
-            n_distance_evals += 2
-            if d2_plus < best_d2:
-                best_d2, best_h, best_sign = d2_plus, h, 1
-            if d2_minus < best_d2:
-                best_d2, best_h, best_sign = d2_minus, h, -1
-        if best_h < 0:
-            # Every candidate overflowed to +inf.
-            raise NumericalError(_NON_FINITE_DISTANCE)
-        perm[best_h] = j
-        signs[best_h] = best_sign
-        available.remove(best_h)
-        if best_d2 > unstable_d2:
-            n_unstable += 1
-
-    return SignedPermutation._trusted(perm, signs), n_distance_evals, n_norm_evals, n_unstable
-
-
 def _checked_greedy_match(
     a, pivot, config: MatchConfig | None = None
 ) -> tuple[SignedPermutation, int]:
-    """Validate the inputs and return the greedy match and its unstable-match count."""
+    """Validate the inputs and return the greedy match and its unstable-match count.
+
+    The match is the chain kernel's on a stack of one sample.
+    """
     a_arr = validate_loadings(a, "sample")
     p_arr = validate_loadings(pivot, "pivot")
     _check_same_shape(a_arr, p_arr)
-    sp, _, _, n_unstable = _greedy_match_stats(a_arr, p_arr, config or MatchConfig())
-    return sp, n_unstable
+    order = (config or MatchConfig()).order
+    perm, signs, matched_d2 = _greedy_match_chain(a_arr[None], p_arr, order)
+    if not np.isfinite(matched_d2).all():
+        raise NumericalError(_NON_FINITE_DISTANCE)
+    n_unstable = int(np.count_nonzero(matched_d2 > _unstable_d2(p_arr)))
+    return SignedPermutation._trusted(perm[0], signs[0]), n_unstable
 
 
 def greedy_match(a, pivot, config: MatchConfig | None = None) -> SignedPermutation:
@@ -186,8 +141,10 @@ def greedy_match(a, pivot, config: MatchConfig | None = None) -> SignedPermutati
     Processing ``a``'s columns in the configured order, each column is
     assigned the L2-nearest of the not-yet-matched pivot columns and their
     negatives; the matched column and its negative are then dropped from the
-    candidate pool.  Raises :class:`NumericalError` when every candidate
-    distance of a column overflows.
+    candidate pool.  This is the single-sample call of the kernel that
+    :func:`align_chain` runs on a whole chain.  Raises
+    :class:`NumericalError` when every candidate distance of a column
+    overflows.
     """
     sp, n_unstable = _checked_greedy_match(a, pivot, config)
     if n_unstable:
@@ -311,8 +268,8 @@ def _greedy_match_chain(
         source_order = np.broadcast_to(np.arange(k), (t_len, k))
 
     # Zeros, not np.empty: a sample whose distances overflow can leave a pivot
-    # column unmatched, and its perm must still index validly until
-    # align_chain rejects it.
+    # column unmatched, and its perm must still index validly until the
+    # caller rejects it.
     perm = np.zeros((t_len, k), dtype=np.intp)
     signs = np.ones((t_len, k), dtype=np.int64)
     matched_d2 = np.empty((t_len, k))

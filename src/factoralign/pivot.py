@@ -8,7 +8,6 @@ singular value when too many samples are numerically rank deficient.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +51,25 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(arr, compute_uv=False)
 
 
+def _condition_numbers(
+    svals: np.ndarray, rank_tolerance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row sigma_max / sigma_min of ``(T, k)`` singular values, and the deficiency mask.
+
+    A row is numerically rank deficient when
+    ``sigma_min <= rank_tolerance * sigma_max``; its condition number is +inf.
+    """
+    sigma_max, sigma_min = svals[:, 0], svals[:, -1]
+    # Rank-deficient rows divide by 1.0, since their sigma_min may be zero.
+    deficient = sigma_min <= rank_tolerance * sigma_max
+    conds = np.where(deficient, np.inf, sigma_max / np.where(deficient, 1.0, sigma_min))
+    return conds, deficient
+
+
 def condition_number(m, rank_tolerance: float = RANK_TOLERANCE) -> float:
     """sigma_max / sigma_min, or +inf when the matrix is numerically rank deficient."""
-    s = singular_values(m)
-    if s[-1] <= rank_tolerance * s[0]:
-        return math.inf
-    return float(s[0] / s[-1])
+    conds, _ = _condition_numbers(singular_values(m)[None], rank_tolerance)
+    return float(conds[0])
 
 
 def check_infinite_fraction_threshold(threshold: float) -> None:
@@ -92,13 +104,11 @@ def select_pivot(
     if p < k:
         raise ValueError(f"samples must be tall (p >= k), got shape {(p, k)}")
     svals = np.linalg.svd(chain.samples, compute_uv=False)
-    sigma_max, sigma_min = svals[:, 0], svals[:, -1]
+    sigma_max = svals[:, 0]
     if force_statistic is PivotStatistic.LARGEST_SINGULAR_VALUE:
         statistic = PivotStatistic.LARGEST_SINGULAR_VALUE
     else:
-        # Rank-deficient samples divide by 1.0, since their sigma_min may be zero.
-        deficient = sigma_min <= rank_tolerance * sigma_max
-        conds = np.where(deficient, np.inf, sigma_max / np.where(deficient, 1.0, sigma_min))
+        conds, deficient = _condition_numbers(svals, rank_tolerance)
         if force_statistic is PivotStatistic.CONDITION_NUMBER:
             statistic = PivotStatistic.CONDITION_NUMBER
         elif np.mean(deficient) > infinite_fraction_threshold:

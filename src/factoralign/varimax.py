@@ -288,7 +288,10 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
     the rotated matrix, and a convergence flag.  Non-convergence within
     ``max_iterations`` is reported, not raised.  The rotation does not
     depend on the scale of ``m``: tiny loadings rotate as they would at unit
-    scale.  A single column is returned as it is.  Raises
+    scale.  ``criterion`` is ``varimax_criterion(rotated)``, computed at the
+    input's scale, and grows as the fourth power of that scale: for loadings
+    of about 2**-270 and below it underflows to 0.0, although the rotation
+    is the unit-scale one.  A single column is returned as it is.  Raises
     :class:`NumericalError` when the objective of the rotated matrix
     overflows, as it does once entries exceed about 1e77.  For a stack,
     errors name the first bad sample: :class:`SampleError` for non-finite

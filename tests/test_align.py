@@ -21,8 +21,65 @@ from factoralign import (
     random_signed_permutation,
     select_pivot,
 )
-from factoralign.align import _greedy_match_stats
+from factoralign.align import _NON_FINITE_DISTANCE, _unstable_d2
 from factoralign.pivot import PivotSelection, PivotStatistic
+
+
+def _greedy_match_stats(
+    a: np.ndarray, pivot: np.ndarray, cfg: MatchConfig
+) -> tuple[SignedPermutation, int, int, int]:
+    """Reference for greedy_match: the rule as a per-sample, per-column scan.
+
+    Returns (match, distance evals, norm evals, unstable count).  Inputs are
+    assumed validated; ordering uses squared norms, which sort identically
+    to norms.
+    """
+    k = a.shape[1]
+    if cfg.order is MatchOrder.BY_DESCENDING_NORM:
+        sq_norms = np.einsum("ij,ij->j", a, a).tolist()
+        # Descending norm, ties to the lower source index.
+        source_order = sorted(range(k), key=lambda j: (-sq_norms[j], j))
+        n_norm_evals = k
+    else:
+        source_order = range(k)
+        n_norm_evals = 0
+
+    sample_cols = np.ascontiguousarray(a.T)
+    pivot_cols = np.ascontiguousarray(pivot.T)
+    unstable_d2 = _unstable_d2(pivot)
+
+    available = list(range(k))
+    perm = np.empty(k, dtype=np.intp)
+    signs = np.empty(k, dtype=np.int64)
+    n_distance_evals = 0
+    n_unstable = 0
+    for j in source_order:
+        col = sample_cols[j]
+        best_d2 = np.inf
+        best_h = -1
+        best_sign = 1
+        # Candidates scanned in ascending pivot index, + before -, so ties
+        # resolve to the lower index and the positive sign.
+        for h in available:
+            diff = col - pivot_cols[h]
+            d2_plus = float(diff @ diff)
+            summ = col + pivot_cols[h]
+            d2_minus = float(summ @ summ)
+            n_distance_evals += 2
+            if d2_plus < best_d2:
+                best_d2, best_h, best_sign = d2_plus, h, 1
+            if d2_minus < best_d2:
+                best_d2, best_h, best_sign = d2_minus, h, -1
+        if best_h < 0:
+            # Every candidate overflowed to +inf.
+            raise NumericalError(_NON_FINITE_DISTANCE)
+        perm[best_h] = j
+        signs[best_h] = best_sign
+        available.remove(best_h)
+        if best_d2 > unstable_d2:
+            n_unstable += 1
+
+    return SignedPermutation(perm, signs), n_distance_evals, n_norm_evals, n_unstable
 
 
 def noisy_signed_copy(pivot, rng, noise=0.01):
@@ -87,7 +144,9 @@ def test_greedy_natural_column_order():
     pivot = rng.standard_normal((9, 3))
     sample = noisy_signed_copy(pivot, rng)
     cfg = MatchConfig(order=MatchOrder.NATURAL_COLUMN_ORDER)
-    sp, n_dist, n_norm, _ = _greedy_match_stats(sample, pivot, cfg)
+    sp = greedy_match(sample, pivot, cfg)
+    oracle_sp, n_dist, n_norm, _ = _greedy_match_stats(sample, pivot, cfg)
+    assert sp == oracle_sp
     assert n_norm == 0
     assert n_dist == 3 * 4
     aligned = apply_signed_permutation(sample, sp)
@@ -99,7 +158,7 @@ def test_greedy_tie_breaks_prefer_lower_index_and_plus_sign():
     # pivot index and the + sign must win
     pivot = np.column_stack([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     sample = np.zeros((2, 2))
-    sp, *_ = _greedy_match_stats(sample, pivot, MatchConfig())
+    sp = greedy_match(sample, pivot)
     assert sp.perm.tolist() == [0, 1]
     assert sp.signs.tolist() == [1, 1]
 
@@ -344,7 +403,7 @@ def test_align_chain_equals_per_sample_greedy(caplog, seed, t_len, k, extra_rows
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="factoralign.align"):
         aligned, report = align_chain(chain, selection, cfg)
-    records = caplog.records
+    records = list(caplog.records)
 
     assert report.perm.shape == report.signs.shape == (t_len, k)
     assert report.perm.dtype == np.intp and report.signs.dtype == np.int64
@@ -357,6 +416,12 @@ def test_align_chain_equals_per_sample_greedy(caplog, seed, t_len, k, extra_rows
         assert np.array_equal(aligned.samples[t], expected)
         assert report.losses[t] == frobenius_norm(expected - selection.pivot)
         unstable += n_unstable
+        # The public single-sample call: same match, and one warning exactly
+        # when the oracle counts unstable columns.
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="factoralign.align"):
+            assert greedy_match(chain.samples[t], selection.pivot, cfg) == sp
+        assert [r.args[0] for r in caplog.records] == ([n_unstable] if n_unstable else [])
     assert report.comparisons_per_sample == n_dist + n_norm
     assert report.total_loss == float(np.sum(report.losses))
     if unstable:

@@ -259,6 +259,9 @@ def test_rotate_is_bitwise_scale_equivariant_at_powers_of_two(exponent):
     got = varimax_rotate(np.ldexp(m, exponent))
     np.testing.assert_array_equal(got.rotation, want.rotation)
     assert got.iterations == want.iterations and got.converged
+    # The criterion stays at the input's scale, a fourth-power quantity that
+    # underflows from about 2^-270 down.
+    assert (got.criterion == 0.0) == (exponent <= -300)
 
 
 def test_stack_rotates_each_sample_at_its_own_scale():
