@@ -2,11 +2,11 @@
 """The three column matchers side by side: greedy, assignment, brute force.
 
 Each trial hides a known signed permutation of a pivot under noise.  The
-greedy matcher is the production path; the assignment solver is the exact
-per-sample optimum; the exhaustive search certifies the exact solver at
-small k.  At low noise all three coincide; at absurd noise the greedy
-matcher can fall behind the optimum, which is exactly the gap the oracles
-measure.
+greedy matcher is the production path; the assignment solver (the Hungarian
+method in pure Python, O(k^3)) is the exact per-sample optimum; the
+exhaustive search certifies the exact solver at small k.  At low noise all
+three coincide; at absurd noise the greedy matcher can fall behind the
+optimum, which is exactly the gap the oracles measure.
 """
 
 import logging

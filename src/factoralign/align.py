@@ -18,8 +18,9 @@ The tests hold the rule as a per-sample, per-column scan
 distances and norms the rule evaluates, and check the kernel against it
 bitwise.
 
-The two exact matchers exist as quality baselines and test oracles: an
-assignment-solver optimum and a small-k exhaustive search.
+The two exact matchers exist as quality baselines and test oracles: the
+per-sample optimum from an in-package O(k^3) assignment solve (the Hungarian
+method; the package needs only numpy) and a small-k exhaustive search.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,30 +166,74 @@ def _signed_distance_matrices(a: np.ndarray, pivot: np.ndarray) -> tuple[np.ndar
     return np.sum(diff * diff, axis=0), np.sum(summ * summ, axis=0)
 
 
+def _assignment(cost: list[list[float]]) -> list[int]:
+    """Rows of a minimum-cost assignment of a square cost matrix, one per column.
+
+    The Hungarian method as k shortest augmenting paths with row potentials
+    ``u`` and column potentials ``v`` (O(k^3)); index 0 of ``v``, ``match``
+    and ``way`` is a virtual column that roots each path.  The loops run over
+    Python floats, which at these k beat any numpy inner loop.  Entries must
+    be finite and in [0, 1], so that no potential overflows.
+    """
+    k = len(cost)
+    u = [0.0] * (k + 1)
+    v = [0.0] * (k + 1)
+    match = [0] * (k + 1)  # match[j]: the 1-based row assigned to column j
+    way = [0] * (k + 1)
+    for row in range(1, k + 1):
+        match[0] = row
+        j0 = 0
+        min_slack = [math.inf] * (k + 1)
+        used = [False] * (k + 1)
+        while match[j0]:
+            used[j0] = True
+            i0 = match[j0]
+            costs, u_i0 = cost[i0 - 1], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, k + 1):
+                if not used[j]:
+                    slack = costs[j - 1] - u_i0 - v[j]
+                    if slack < min_slack[j]:
+                        min_slack[j], way[j] = slack, j0
+                    if min_slack[j] < delta:
+                        delta, j1 = min_slack[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    min_slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    return [i - 1 for i in match[1:]]
+
+
 def exact_match_assignment(a, pivot) -> SignedPermutation:
     """Globally optimal signed match via a linear assignment solve.
 
     The squared Frobenius loss decomposes over matched column pairs, so with
     per-pair cost min(||a_j - p_h||^2, ||a_j + p_h||^2) the optimum over all
-    2^k * k! signed permutations reduces to a k x k assignment problem; the
-    sign of each matched pair is the cheaper of the two.
+    2^k * k! signed permutations reduces to a k x k assignment problem, solved
+    in O(k^3) by :func:`_assignment`; the sign of each matched pair is the
+    cheaper of the two.  The solve runs on the cost scaled by a power of two
+    to below 1, which keeps its potentials from overflowing and leaves every
+    normal entry exact.  Among tied optima any one may be returned.  Raises
+    :class:`NumericalError` when a pair cost overflows.
     """
-    # Imported here: scipy.optimize takes most of a CLI start, and only
-    # oracle-check reaches this matcher.
-    from scipy.optimize import linear_sum_assignment
-
     a_arr = validate_loadings(a, "sample")
     p_arr = validate_loadings(pivot, "pivot")
     _check_same_shape(a_arr, p_arr)
     d2_plus, d2_minus = _signed_distance_matrices(a_arr, p_arr)
     cost = np.minimum(d2_plus, d2_minus)
-    pair_sign = np.where(d2_plus <= d2_minus, 1, -1)
-    rows, cols = linear_sum_assignment(cost)
-    k = a_arr.shape[1]
-    perm = np.empty(k, dtype=np.intp)
-    signs = np.empty(k, dtype=np.int64)
-    perm[cols] = rows
-    signs[cols] = pair_sign[rows, cols]
+    # The costs are sums of squares, so they are all finite when the largest is.
+    largest = float(cost.max())
+    if not math.isfinite(largest):
+        raise NumericalError(_NON_FINITE_DISTANCE)
+    perm = np.array(_assignment(np.ldexp(cost, -math.frexp(largest)[1]).tolist()))
+    signs = np.where(d2_plus <= d2_minus, 1, -1)[perm, np.arange(perm.size)]
     return SignedPermutation(perm, signs)
 
 

@@ -106,13 +106,15 @@ def write_chain(base, chain: Chain, seed_provenance: str | None = None) -> Chain
         has_residual_variances=chain.residual_variances is not None,
         seed_provenance=seed_provenance,
     )
-    # transpose(0, 2, 1) then C-ravel emits each sample in column-major order
-    payload = np.ascontiguousarray(chain.samples.transpose(0, 2, 1)).astype("<f8").tobytes()
-    if chain.residual_variances is not None:
-        payload += np.ascontiguousarray(chain.residual_variances).astype("<f8").tobytes()
     manifest_text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
     with _staged(payload_path, manifest_path) as (payload_temporary, manifest_temporary):
-        payload_temporary.write_bytes(payload)
+        # Each array is written from its own buffer; no bytes copy of the
+        # payload is made.  The (T, k, p) block holds each sample in
+        # column-major order.
+        with payload_temporary.open("wb") as fh:
+            fh.write(np.ascontiguousarray(chain.samples.transpose(0, 2, 1), dtype="<f8"))
+            if chain.residual_variances is not None:
+                fh.write(np.ascontiguousarray(chain.residual_variances, dtype="<f8"))
         manifest_temporary.write_bytes(manifest_text.encode())
     return manifest
 
@@ -156,14 +158,15 @@ def read_chain(base) -> tuple[Chain, ChainFileManifest]:
             f"payload length mismatch in {payload_path}: manifest implies {expected} bytes "
             f"but file has {len(payload)} (divergence at offset {min(expected, len(payload))})"
         )
+    # Both arrays view the payload bytes; neither copies them.
     samples = (
-        np.frombuffer(payload[:samples_bytes], dtype="<f8")
+        np.frombuffer(payload, dtype="<f8", count=t * k * p)
         .reshape(t, k, p)
         .transpose(0, 2, 1)
     )
     variances = None
     if manifest.has_residual_variances:
-        variances = np.frombuffer(payload[samples_bytes:], dtype="<f8").reshape(t, p)
+        variances = np.frombuffer(payload, dtype="<f8", offset=samples_bytes).reshape(t, p)
     try:
         chain = Chain(samples, variances)
     except ValueError as exc:

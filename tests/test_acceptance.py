@@ -219,7 +219,7 @@ def test_criterion_6_complexity_scaling():
             k5_times.append(call_k5())
             k10_times.append(call_k10())
         small_times, double_times = [], []
-        for _ in range(9):
+        for _ in range(25):
             small_times.append(align_seconds(small, small_pivot))
             double_times.append(align_seconds(double, double_pivot))
     finally:

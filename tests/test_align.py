@@ -1,9 +1,11 @@
 import logging
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from factoralign import (
     Chain,
@@ -21,7 +23,12 @@ from factoralign import (
     random_signed_permutation,
     select_pivot,
 )
-from factoralign.align import _NON_FINITE_DISTANCE, _unstable_d2
+from factoralign.align import (
+    _NON_FINITE_DISTANCE,
+    _assignment,
+    _signed_distance_matrices,
+    _unstable_d2,
+)
 from factoralign.pivot import PivotSelection, PivotStatistic
 
 
@@ -193,8 +200,9 @@ def test_exact_identity_on_equal_inputs():
 
 def test_exact_equals_brute_force_small_k():
     rng = np.random.default_rng(48)
-    for k in (1, 2, 3, 4, 5, 6):
-        for _ in range(8):
+    # One case at the brute-force cap, k=8: it scans 8! permutations.
+    for k, cases in ((1, 8), (2, 8), (3, 8), (4, 8), (5, 8), (6, 8), (7, 8), (8, 1)):
+        for _ in range(cases):
             pivot = rng.standard_normal((8, k))
             sample = noisy_signed_copy(pivot, rng, noise=0.5)
             el = match_loss(sample, exact_match_assignment(sample, pivot), pivot)
@@ -212,6 +220,48 @@ def test_exact_handles_cost_ties_from_duplicate_columns():
     el = match_loss(sample, sp, pivot)
     bl = match_loss(sample, brute_force_match(sample, pivot), pivot)
     assert el == pytest.approx(bl, rel=1e-12)
+
+
+def test_assignment_attains_scipy_optimum():
+    # scipy is the oracle here only; the package solves on its own.
+    rng = np.random.default_rng(53)
+    for k in range(1, 31):
+        for trial in range(12):
+            cost = rng.random((k, k))
+            tied = trial % 3 == 0
+            if tied:
+                cost = np.round(4.0 * cost) / 4.0
+            rows = _assignment(cost.tolist())
+            ref_rows, ref_cols = linear_sum_assignment(cost)
+            assert sorted(rows) == list(range(k))
+            assert math.fsum(cost[rows, range(k)]) == math.fsum(cost[ref_rows, ref_cols])
+            if not tied:
+                assert rows == ref_rows[np.argsort(ref_cols)].tolist()
+
+
+def test_exact_equals_scipy_assignment():
+    rng = np.random.default_rng(54)
+    for k in (1, 2, 3, 5, 8, 13, 21, 30):
+        for _ in range(6):
+            # The solve runs on the cost scaled to below 1, at any input scale.
+            scale = 10.0 ** rng.integers(-150, 151)
+            pivot = scale * rng.standard_normal((k + 4, k))
+            sample = scale * rng.standard_normal((k + 4, k))
+            d2_plus, d2_minus = _signed_distance_matrices(sample, pivot)
+            ref_rows, ref_cols = linear_sum_assignment(np.minimum(d2_plus, d2_minus))
+            sp = exact_match_assignment(sample, pivot)
+            np.testing.assert_array_equal(sp.perm, ref_rows[np.argsort(ref_cols)])
+            np.testing.assert_array_equal(sp.signs, np.where(d2_plus <= d2_minus, 1, -1)[sp.perm, range(k)])
+
+
+def test_exact_raises_on_non_finite_cost():
+    # Finite loadings whose squared distances overflow.
+    rng = np.random.default_rng(55)
+    pivot = rng.standard_normal((6, 3))
+    sample = pivot.copy()
+    sample[:, 1] *= 1e200
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match=_NON_FINITE_DISTANCE):
+        exact_match_assignment(sample, pivot)
 
 
 def test_brute_force_k1_sign_flip():

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,21 +50,41 @@ def test_failed_payload_write_keeps_old_chain(tmp_path, chain, monkeypatch):
     base = tmp_path / "chain"
     write_chain(base, chain)
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-    write_bytes = Path.write_bytes
+    real_open = Path.open
 
-    def fail_payload(path, data):
-        if ".bin" in path.name:
-            write_bytes(path, data[:8])
-            raise OSError("no space left on device")
-        return write_bytes(path, data)
+    def fail_payload(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        # The payload's first write, its samples block, writes half and fails.
+        return FailingFile(fh, 1) if ".bin" in path.name else fh
 
-    monkeypatch.setattr(Path, "write_bytes", fail_payload)
+    monkeypatch.setattr(Path, "open", fail_payload)
     with pytest.raises(OSError, match="no space"):
         write_chain(base, Chain(np.ones((2, 4, 1))))
     monkeypatch.undo()
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
     loaded, _ = read_chain(base)
     np.testing.assert_array_equal(loaded.samples, chain.samples)
+
+
+def test_chain_io_holds_at_most_one_payload(tmp_path):
+    # The writer writes the samples block and the variances from their own
+    # buffers, and the reader views the payload bytes; neither copies them.
+    rng = np.random.default_rng(84)
+    t, p, k = 2000, 40, 5
+    chain = Chain(rng.standard_normal((t, p, k)), rng.uniform(0.1, 4.0, size=(t, p)))
+    payload = 8 * t * p * (k + 1)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for step in (lambda: write_chain(tmp_path / "c", chain), lambda: read_chain(tmp_path / "c")):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "c.bin").stat().st_size == payload
+    assert max(peaks) <= 1.25 * payload, peaks
 
 
 def test_chain_without_residual_variances(tmp_path):
@@ -239,7 +260,7 @@ def test_report_is_deterministic_json(tmp_path):
 
 
 class FailingFile:
-    """A text file whose write number ``fail_at`` writes half its text, then fails."""
+    """A file whose write number ``fail_at`` writes half its data, then fails."""
 
     def __init__(self, fh, fail_at):
         self.fh, self.fail_at, self.writes = fh, fail_at, 0

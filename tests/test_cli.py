@@ -415,7 +415,7 @@ def test_align_rejects_out_of_range_option(tmp_path, capsys, option, value, name
     assert named in capsys.readouterr().err
 
 
-_PIPELINE_WITHOUT_SCIPY = """
+_COMMANDS_WITHOUT_SCIPY = """
 import json, sys
 from factoralign.cli import main
 
@@ -427,23 +427,28 @@ codes = [
           "--seed", "1", "--out", out + "/chain"]),
     main(["align", out + "/chain", "--out", out + "/aligned"]),
     main(["diagnose", "--raw", out + "/chain", "--aligned", out + "/aligned", "--out", out + "/diag"]),
+    main(["oracle-check", "--p", "6", "--k", "3", "--trials", "4", "--brute", "on",
+          "--out", out + "/brute_on.json"]),
+    main(["oracle-check", "--p", "6", "--k", "3", "--trials", "4", "--brute", "off",
+          "--out", out + "/brute_off.json"]),
 ]
-print(json.dumps({"codes": codes, "scipy_optimize": "scipy.optimize" in sys.modules}))
+scipy = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy_modules": scipy}))
 """
 
 
-def test_cli_pipeline_does_not_import_scipy_optimize(tmp_path):
-    # scipy.optimize is most of the CLI's start-up time; only the exact
-    # matcher (oracle-check) needs it.
+def test_cli_commands_do_not_import_scipy(tmp_path):
+    # Every command, oracle-check's exact matcher included, runs on numpy
+    # alone; importing scipy.optimize would cost most of a CLI start.
     src = str(Path(factoralign.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
-        [sys.executable, "-c", _PIPELINE_WITHOUT_SCIPY, str(tmp_path)],
+        [sys.executable, "-c", _COMMANDS_WITHOUT_SCIPY, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0], "scipy_optimize": False}
+    assert result == {"codes": [0] * 6, "scipy_modules": []}
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e200])
