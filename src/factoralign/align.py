@@ -1,26 +1,30 @@
 """Signed-permutation matching of loadings columns against a pivot.
 
+All three matchers read their costs from one table: ``_signed_d2`` computes
+every squared distance |a_j -+ p_h|^2 of a ``(T, p, k)`` stack into one
+``(T, k, 2k)`` stack interleaved as (+p_0, -p_0, +p_1, ...), each as an exact
+dot product of the difference with itself, so the matchers compare the same
+rounded numbers.  The cheaper gram form |a|^2 + |p|^2 -+ 2 a.p rounds
+differently and can flip a near tie.
+
 The greedy rule walks a sample's columns (largest norm first by default),
 assigns each to its nearest remaining signed pivot column, and drops the
 matched column and its negative from the candidate pool.  One kernel,
-``_greedy_match_chain``, applies the rule to a whole ``(T, p, k)`` stack:
-``align_chain`` calls it on the chain, and ``greedy_match`` on one sample
-as a stack of one.  The kernel computes every squared distance
-|a_j -+ p_h|^2 into one ``(T, k, 2k)`` stack interleaved as
-(+p_0, -p_0, +p_1, ...), then takes k masked ``argmin`` steps over all
-samples: step i picks each sample's i-th source column and sets the two
-slots of its matched pivot column to +inf.  ``argmin`` returns the first
-minimum, so ties go to the lower pivot index and then to the + sign.  Each
-distance is an exact dot product of the difference with itself; the cheaper
-gram form |a|^2 + |p|^2 -+ 2 a.p rounds differently and can flip a near tie.
-The tests hold the rule as a per-sample, per-column scan
-(``_greedy_match_stats`` in ``tests/test_align.py``), which counts the
-distances and norms the rule evaluates, and check the kernel against it
-bitwise.
+``_greedy_match_chain``, applies the rule to a whole stack: ``align_chain``
+calls it on the chain, and ``greedy_match`` on one sample as a stack of one.
+It takes k masked ``argmin`` steps over all samples: step i picks each
+sample's i-th source column and sets the two slots of its matched pivot
+column to +inf.  ``argmin`` returns the first minimum, so ties go to the
+lower pivot index and then to the + sign.  The tests hold the rule as a
+per-sample, per-column scan (``_greedy_match_stats`` in
+``tests/test_align.py``), which counts the distances and norms the rule
+evaluates, and check the kernel against it bitwise.
 
 The two exact matchers exist as quality baselines and test oracles: the
 per-sample optimum from an in-package O(k^3) assignment solve (the Hungarian
-method; the package needs only numpy) and a small-k exhaustive search.
+method; the package needs only numpy) and a small-k exhaustive search.  Both
+take the table of one sample, and both raise :class:`NumericalError` when a
+pair cost overflows.
 """
 
 from __future__ import annotations
@@ -101,16 +105,18 @@ class AlignmentReport:
     comparisons_per_sample: int
 
 
-def _check_same_shape(a: np.ndarray, p: np.ndarray) -> None:
-    if a.shape != p.shape:
-        raise ValueError(f"shape mismatch: sample {a.shape} vs pivot {p.shape}")
+def _checked_pair(a, pivot) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a sample and a pivot of the same shape; return both as arrays."""
+    a_arr = validate_loadings(a, "sample")
+    p_arr = validate_loadings(pivot, "pivot")
+    if a_arr.shape != p_arr.shape:
+        raise ValueError(f"shape mismatch: sample {a_arr.shape} vs pivot {p_arr.shape}")
+    return a_arr, p_arr
 
 
 def match_loss(a, sp: SignedPermutation, pivot) -> float:
     """Frobenius distance between the signed-permuted sample and the pivot."""
-    a_arr = validate_loadings(a, "sample")
-    p_arr = validate_loadings(pivot, "pivot")
-    _check_same_shape(a_arr, p_arr)
+    a_arr, p_arr = _checked_pair(a, pivot)
     return frobenius_norm(apply_signed_permutation(a_arr, sp) - p_arr)
 
 
@@ -126,9 +132,7 @@ def _checked_greedy_match(
 
     The match is the chain kernel's on a stack of one sample.
     """
-    a_arr = validate_loadings(a, "sample")
-    p_arr = validate_loadings(pivot, "pivot")
-    _check_same_shape(a_arr, p_arr)
+    a_arr, p_arr = _checked_pair(a, pivot)
     order = (config or MatchConfig()).order
     perm, signs, matched_d2 = _greedy_match_chain(a_arr[None], p_arr, order)
     if not np.isfinite(matched_d2).all():
@@ -160,10 +164,39 @@ def greedy_match(a, pivot, config: MatchConfig | None = None) -> SignedPermutati
     return sp
 
 
-def _signed_distance_matrices(a: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    diff = a[:, :, None] - pivot[:, None, :]
-    summ = a[:, :, None] + pivot[:, None, :]
-    return np.sum(diff * diff, axis=0), np.sum(summ * summ, axis=0)
+def _signed_d2(samples: np.ndarray, pivot: np.ndarray) -> np.ndarray:
+    """The ``(T, k, 2k)`` squared distances of a ``(T, p, k)`` stack to the signed pivot.
+
+    d2[t, j, 2h] = |a_j - p_h|^2 and d2[t, j, 2h + 1] = |a_j + p_h|^2, each
+    the dot product of a contiguous length-p row with itself.
+    """
+    t_len, _, k = samples.shape
+    cols = np.ascontiguousarray(samples.transpose(0, 2, 1))
+    pivot_cols = np.ascontiguousarray(pivot.T)
+    d2 = np.empty((t_len, k, 2 * k))
+    buf = np.empty_like(cols)
+    for h in range(k):
+        np.subtract(cols, pivot_cols[h], out=buf)
+        np.vecdot(buf, buf, out=d2[:, :, 2 * h])
+        np.add(cols, pivot_cols[h], out=buf)
+        np.vecdot(buf, buf, out=d2[:, :, 2 * h + 1])
+    return d2
+
+
+def _pair_costs(a: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k x k costs min(|a_j - p_h|^2, |a_j + p_h|^2) of one sample, and their signs.
+
+    The sign is +1 at ties.  Raises :class:`NumericalError` when a cost
+    overflows.
+    """
+    k = a.shape[1]
+    d2 = _signed_d2(a[None], pivot)[0].reshape(k, k, 2)
+    plus, minus = d2[:, :, 0], d2[:, :, 1]
+    cost = np.minimum(plus, minus)
+    # The costs are sums of squares, so they are all finite when the largest is.
+    if not math.isfinite(float(cost.max())):
+        raise NumericalError(_NON_FINITE_DISTANCE)
+    return cost, np.where(plus <= minus, 1, -1)
 
 
 def _assignment(cost: list[list[float]]) -> list[int]:
@@ -218,70 +251,44 @@ def exact_match_assignment(a, pivot) -> SignedPermutation:
     per-pair cost min(||a_j - p_h||^2, ||a_j + p_h||^2) the optimum over all
     2^k * k! signed permutations reduces to a k x k assignment problem, solved
     in O(k^3) by :func:`_assignment`; the sign of each matched pair is the
-    cheaper of the two.  The solve runs on the cost scaled by a power of two
-    to below 1, which keeps its potentials from overflowing and leaves every
-    normal entry exact.  Among tied optima any one may be returned.  Raises
-    :class:`NumericalError` when a pair cost overflows.
+    cheaper of the two, + at ties.  The costs are read from the greedy
+    kernel's distance table, so they carry its rounding.  The solve runs on
+    the cost scaled by a power of two to below 1, which keeps its potentials
+    from overflowing and leaves every normal entry exact.  Among tied optima
+    any one may be returned.  Raises :class:`NumericalError` when a pair cost
+    overflows.
     """
-    a_arr = validate_loadings(a, "sample")
-    p_arr = validate_loadings(pivot, "pivot")
-    _check_same_shape(a_arr, p_arr)
-    d2_plus, d2_minus = _signed_distance_matrices(a_arr, p_arr)
-    cost = np.minimum(d2_plus, d2_minus)
-    # The costs are sums of squares, so they are all finite when the largest is.
-    largest = float(cost.max())
-    if not math.isfinite(largest):
-        raise NumericalError(_NON_FINITE_DISTANCE)
-    perm = np.array(_assignment(np.ldexp(cost, -math.frexp(largest)[1]).tolist()))
-    signs = np.where(d2_plus <= d2_minus, 1, -1)[perm, np.arange(perm.size)]
-    return SignedPermutation(perm, signs)
+    cost, signs = _pair_costs(*_checked_pair(a, pivot))
+    scale = -math.frexp(float(cost.max()))[1]
+    perm = np.array(_assignment(np.ldexp(cost, scale).tolist()))
+    return SignedPermutation(perm, signs[perm, np.arange(perm.size)])
 
 
 def brute_force_match(a, pivot) -> SignedPermutation:
     """Exhaustive minimizer over all k! * 2^k signed permutations (k <= 8).
 
-    For each permutation the optimal sign decomposes per column, so the scan
-    enumerates permutations lexicographically with the per-column sign chosen
-    as + at exact ties; the first minimizer encountered wins, which realizes
-    the lexicographic (perm, signs) tie-break with +1 ordered before -1.
+    For each permutation the optimal sign decomposes per column, so the
+    search sums the per-pair costs of :func:`exact_match_assignment` over
+    every permutation, in lexicographic order and column by column, with each
+    sign chosen as + at exact ties; ``argmin`` returns the first minimizer,
+    which realizes the lexicographic (perm, signs) tie-break with +1 ordered
+    before -1.  Raises :class:`NumericalError` when a pair cost or the best
+    total overflows.
     """
-    a_arr = validate_loadings(a, "sample")
-    p_arr = validate_loadings(pivot, "pivot")
-    _check_same_shape(a_arr, p_arr)
+    a_arr, p_arr = _checked_pair(a, pivot)
     k = a_arr.shape[1]
     if k > BRUTE_FORCE_MAX_K:
         raise ValueError(f"brute-force matching is capped at k <= {BRUTE_FORCE_MAX_K}, got k={k}")
-
-    d2_plus = np.empty((k, k))
-    d2_minus = np.empty((k, k))
-    for j in range(k):
-        for h in range(k):
-            diff = a_arr[:, j] - p_arr[:, h]
-            d2_plus[j, h] = float(diff @ diff)
-            summ = a_arr[:, j] + p_arr[:, h]
-            d2_minus[j, h] = float(summ @ summ)
-
-    best_total = np.inf
-    best_perm: tuple[int, ...] | None = None
-    best_signs: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(k)):
-        total = 0.0
-        signs = []
-        for h in range(k):
-            dp = d2_plus[perm[h], h]
-            dm = d2_minus[perm[h], h]
-            if dp <= dm:
-                total += dp
-                signs.append(1)
-            else:
-                total += dm
-                signs.append(-1)
-        if total < best_total:
-            best_total = total
-            best_perm = perm
-            best_signs = tuple(signs)
-    assert best_perm is not None
-    return SignedPermutation(np.array(best_perm, dtype=np.intp), np.array(best_signs, dtype=np.int64))
+    cost, signs = _pair_costs(a_arr, p_arr)
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    totals = np.zeros(len(perms))
+    for h in range(k):
+        totals += cost[perms[:, h], h]
+    best = int(np.argmin(totals))
+    if not math.isfinite(totals[best]):
+        raise NumericalError(_NON_FINITE_DISTANCE)
+    perm = perms[best].copy()  # not a view that would keep all k! rows alive
+    return SignedPermutation(perm, signs[perm, np.arange(k)])
 
 
 def _greedy_match_chain(
@@ -294,17 +301,7 @@ def _greedy_match_chain(
     """
     t_len, _, k = samples.shape
     rows = np.arange(t_len)
-    cols = np.ascontiguousarray(samples.transpose(0, 2, 1))
-    pivot_cols = np.ascontiguousarray(pivot.T)
-    # d2[t, j, 2h] = |a_j - p_h|^2 and d2[t, j, 2h + 1] = |a_j + p_h|^2, each
-    # the dot product of a contiguous length-p row with itself.
-    d2 = np.empty((t_len, k, 2 * k))
-    buf = np.empty_like(cols)
-    for h in range(k):
-        np.subtract(cols, pivot_cols[h], out=buf)
-        np.vecdot(buf, buf, out=d2[:, :, 2 * h])
-        np.add(cols, pivot_cols[h], out=buf)
-        np.vecdot(buf, buf, out=d2[:, :, 2 * h + 1])
+    d2 = _signed_d2(samples, pivot)
 
     if order is MatchOrder.BY_DESCENDING_NORM:
         # Descending norm, ties to the lower source index.

@@ -193,8 +193,10 @@ def _cmd_align(args) -> int:
     if args.threads is not None and args.threads < 0:
         raise ValueError("--threads must be >= 0")
     report_path = args.report if args.report else f"{args.out}_report.json"
-    chain_files = chainio.chain_paths(args.out) + chainio.chain_paths(args.chain)
-    if Path(report_path).resolve() in {path.resolve() for path in chain_files}:
+    out_files, in_files = chainio.chain_paths(args.out), chainio.chain_paths(args.chain)
+    if out_files[0].resolve() == in_files[0].resolve():
+        raise ValueError(f"--out {args.out} would overwrite the input chain {args.chain}")
+    if Path(report_path).resolve() in {path.resolve() for path in out_files + in_files}:
         raise ValueError(f"--report path {report_path} collides with a chain file")
     vconfig = VarimaxConfig(
         max_iterations=args.varimax_max_iterations,
@@ -265,12 +267,12 @@ def _parse_trace_entries(spec: str) -> list[tuple[int, int]]:
 def _cmd_diagnose(args) -> int:
     if args.raw is None and args.aligned is None:
         raise ValueError("at least one of --raw / --aligned is required")
+    entries = _parse_trace_entries(args.traces) if args.traces is not None else None
     raw = chainio.read_chain(args.raw)[0] if args.raw else None
     aligned = chainio.read_chain(args.aligned)[0] if args.aligned else None
 
     payload = {"subcommand": "diagnose", **build_report(raw, aligned), "traces_file": None}
-    if args.traces:
-        entries = _parse_trace_entries(args.traces)
+    if entries is not None:
         source = aligned if aligned is not None else raw
         traces = export_traces(source, entries)
         labels = [f"r{i}_c{j}" for i, j in entries]

@@ -1,9 +1,10 @@
+import itertools
 import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -26,7 +27,7 @@ from factoralign import (
 from factoralign.align import (
     _NON_FINITE_DISTANCE,
     _assignment,
-    _signed_distance_matrices,
+    _signed_d2,
     _unstable_d2,
 )
 from factoralign.pivot import PivotSelection, PivotStatistic
@@ -87,6 +88,46 @@ def _greedy_match_stats(
             n_unstable += 1
 
     return SignedPermutation(perm, signs), n_distance_evals, n_norm_evals, n_unstable
+
+
+def _brute_force_reference(a: np.ndarray, pivot: np.ndarray) -> SignedPermutation:
+    """Reference for brute_force_match: per-pair scalar distances, then a scan.
+
+    Permutations are scanned lexicographically with each column's sign
+    chosen as + at exact ties, and the first strict minimizer wins.  Inputs
+    are assumed validated and of the same shape, with finite distances.
+    """
+    k = a.shape[1]
+    d2_plus = np.empty((k, k))
+    d2_minus = np.empty((k, k))
+    for j in range(k):
+        for h in range(k):
+            diff = a[:, j] - pivot[:, h]
+            d2_plus[j, h] = float(diff @ diff)
+            summ = a[:, j] + pivot[:, h]
+            d2_minus[j, h] = float(summ @ summ)
+
+    best_total = np.inf
+    best_perm: tuple[int, ...] | None = None
+    best_signs: tuple[int, ...] | None = None
+    for perm in itertools.permutations(range(k)):
+        total = 0.0
+        signs = []
+        for h in range(k):
+            dp = d2_plus[perm[h], h]
+            dm = d2_minus[perm[h], h]
+            if dp <= dm:
+                total += dp
+                signs.append(1)
+            else:
+                total += dm
+                signs.append(-1)
+        if total < best_total:
+            best_total = total
+            best_perm = perm
+            best_signs = tuple(signs)
+    assert best_perm is not None
+    return SignedPermutation(np.array(best_perm, dtype=np.intp), np.array(best_signs, dtype=np.int64))
 
 
 def noisy_signed_copy(pivot, rng, noise=0.01):
@@ -247,7 +288,8 @@ def test_exact_equals_scipy_assignment():
             scale = 10.0 ** rng.integers(-150, 151)
             pivot = scale * rng.standard_normal((k + 4, k))
             sample = scale * rng.standard_normal((k + 4, k))
-            d2_plus, d2_minus = _signed_distance_matrices(sample, pivot)
+            d2 = _signed_d2(sample[None], pivot)[0]
+            d2_plus, d2_minus = d2[:, 0::2], d2[:, 1::2]
             ref_rows, ref_cols = linear_sum_assignment(np.minimum(d2_plus, d2_minus))
             sp = exact_match_assignment(sample, pivot)
             np.testing.assert_array_equal(sp.perm, ref_rows[np.argsort(ref_cols)])
@@ -255,13 +297,15 @@ def test_exact_equals_scipy_assignment():
 
 
 def test_exact_raises_on_non_finite_cost():
-    # Finite loadings whose squared distances overflow.
+    # Finite loadings whose squared distances overflow.  The exhaustive
+    # search once failed here on a bare AssertionError.
     rng = np.random.default_rng(55)
     pivot = rng.standard_normal((6, 3))
     sample = pivot.copy()
     sample[:, 1] *= 1e200
-    with np.errstate(over="ignore"), pytest.raises(NumericalError, match=_NON_FINITE_DISTANCE):
-        exact_match_assignment(sample, pivot)
+    for matcher in (exact_match_assignment, brute_force_match):
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match=_NON_FINITE_DISTANCE):
+            matcher(sample, pivot)
 
 
 def test_brute_force_k1_sign_flip():
@@ -291,6 +335,39 @@ def test_brute_force_dominates_greedy():
         bl = match_loss(sample, brute_force_match(sample, pivot), pivot)
         gl = match_loss(sample, greedy_match(sample, pivot), pivot)
         assert bl <= gl + 1e-12
+
+
+def _matching_case(rng, k: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """A noisy signed copy of a pivot, with repeated columns or tied costs by ``kind``."""
+    pivot = rng.standard_normal((k + 2, k))
+    if kind == "duplicated":
+        pivot[:, -1] = pivot[:, 0]
+    elif kind == "negated":
+        pivot[:, -1] = -pivot[:, 0]
+    sample = noisy_signed_copy(pivot, rng, noise=0.5)
+    if kind == "negated":
+        sample[:, 0] = -sample[:, -1]
+    elif kind == "tied":
+        # Half-integer entries give exactly tied costs, and a zero column
+        # is equally far from each pivot column and its negative.
+        pivot, sample = np.round(2 * pivot) / 2, np.round(2 * sample) / 2
+        sample[:, 0] = 0.0
+    return sample, pivot
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 7),
+    kind=st.sampled_from(["random", "duplicated", "negated", "tied"]),
+)
+@example(seed=8, k=8, kind="tied")
+def test_brute_force_equals_scalar_scan(seed, k, kind):
+    sample, pivot = _matching_case(np.random.default_rng(seed), k, kind)
+    sp = brute_force_match(sample, pivot)
+    ref = _brute_force_reference(sample, pivot)
+    np.testing.assert_array_equal(sp.perm, ref.perm)
+    np.testing.assert_array_equal(sp.signs, ref.signs)
 
 
 def test_brute_force_refuses_large_k():

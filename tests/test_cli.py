@@ -303,6 +303,8 @@ def test_diagnose_out_of_range_trace_is_invalid(tmp_path):
     write_chain(tmp_path / "c", chain)
     assert run(["diagnose", "--aligned", tmp_path / "c", "--traces", "9,0", "--out", tmp_path / "d"]) == 2
     assert run(["diagnose", "--aligned", tmp_path / "c", "--traces", "1;2", "--out", tmp_path / "d"]) == 2
+    assert run(["diagnose", "--aligned", tmp_path / "c", "--traces", "", "--out", tmp_path / "d"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
 
 
 def test_diagnose_requires_some_chain(tmp_path):
@@ -373,6 +375,18 @@ def test_align_report_path_cannot_overwrite_chain_files(tmp_path, monkeypatch):
     inputs = {name: (tmp_path / name).read_bytes() for name in ("c.json", "c.bin")}
     for report in ("./a.json", "a.bin", "c.json"):
         assert run(["align", "c", "--out", "a", "--report", report]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
+        assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
+
+
+def test_align_out_cannot_overwrite_input_chain(tmp_path, monkeypatch):
+    from factoralign import Chain, write_chain
+
+    monkeypatch.chdir(tmp_path)
+    write_chain("c", Chain(np.random.default_rng(93).standard_normal((4, 5, 2))))
+    inputs = {name: (tmp_path / name).read_bytes() for name in ("c.json", "c.bin")}
+    for out in ("c", "./c.json"):
+        assert run(["align", "c", "--out", out]) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
         assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
 
