@@ -30,6 +30,7 @@ pair cost overflows.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import logging
 import math
@@ -264,6 +265,14 @@ def exact_match_assignment(a, pivot) -> SignedPermutation:
     return SignedPermutation(perm, signs[perm, np.arange(perm.size)])
 
 
+@functools.cache
+def _permutations(k: int) -> np.ndarray:
+    """Every permutation of ``range(k)`` in lexicographic order, as a read-only (k!, k) array."""
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    perms.flags.writeable = False
+    return perms
+
+
 def brute_force_match(a, pivot) -> SignedPermutation:
     """Exhaustive minimizer over all k! * 2^k signed permutations (k <= 8).
 
@@ -280,14 +289,14 @@ def brute_force_match(a, pivot) -> SignedPermutation:
     if k > BRUTE_FORCE_MAX_K:
         raise ValueError(f"brute-force matching is capped at k <= {BRUTE_FORCE_MAX_K}, got k={k}")
     cost, signs = _pair_costs(a_arr, p_arr)
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    perms = _permutations(k)
     totals = np.zeros(len(perms))
     for h in range(k):
         totals += cost[perms[:, h], h]
     best = int(np.argmin(totals))
     if not math.isfinite(totals[best]):
         raise NumericalError(_NON_FINITE_DISTANCE)
-    perm = perms[best].copy()  # not a view that would keep all k! rows alive
+    perm = perms[best]
     return SignedPermutation(perm, signs[perm, np.arange(k)])
 
 

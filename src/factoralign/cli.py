@@ -189,15 +189,23 @@ def _permutation_payload(report) -> list[dict]:
     ]
 
 
+def _refuse_overwrite(target, inputs, message: str) -> None:
+    """Raise ``ValueError(message)`` when ``target`` resolves to one of the ``inputs`` paths."""
+    if Path(target).resolve() in {Path(path).resolve() for path in inputs}:
+        raise ValueError(message)
+
+
 def _cmd_align(args) -> int:
     if args.threads is not None and args.threads < 0:
         raise ValueError("--threads must be >= 0")
     report_path = args.report if args.report else f"{args.out}_report.json"
     out_files, in_files = chainio.chain_paths(args.out), chainio.chain_paths(args.chain)
-    if out_files[0].resolve() == in_files[0].resolve():
-        raise ValueError(f"--out {args.out} would overwrite the input chain {args.chain}")
-    if Path(report_path).resolve() in {path.resolve() for path in out_files + in_files}:
-        raise ValueError(f"--report path {report_path} collides with a chain file")
+    _refuse_overwrite(
+        out_files[0], in_files[:1], f"--out {args.out} would overwrite the input chain {args.chain}"
+    )
+    _refuse_overwrite(
+        report_path, out_files + in_files, f"--report path {report_path} collides with a chain file"
+    )
     vconfig = VarimaxConfig(
         max_iterations=args.varimax_max_iterations,
         tolerance=args.varimax_tolerance,
@@ -267,6 +275,10 @@ def _parse_trace_entries(spec: str) -> list[tuple[int, int]]:
 def _cmd_diagnose(args) -> int:
     if args.raw is None and args.aligned is None:
         raise ValueError("at least one of --raw / --aligned is required")
+    report_path = f"{args.out}_report.json"
+    chains = [chain for chain in (args.raw, args.aligned) if chain]
+    inputs = [path for chain in chains for path in chainio.chain_paths(chain)]
+    _refuse_overwrite(report_path, inputs, f"--out {args.out} would overwrite an input chain file")
     entries = _parse_trace_entries(args.traces) if args.traces is not None else None
     raw = chainio.read_chain(args.raw)[0] if args.raw else None
     aligned = chainio.read_chain(args.aligned)[0] if args.aligned else None
@@ -280,8 +292,8 @@ def _cmd_diagnose(args) -> int:
         chainio.write_traces(traces_path, traces, labels)
         payload["traces_file"] = traces_path
 
-    chainio.write_report(f"{args.out}_report.json", payload)
-    print(f"wrote {args.out}_report.json")
+    chainio.write_report(report_path, payload)
+    print(f"wrote {report_path}")
     return 0
 
 

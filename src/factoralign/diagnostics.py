@@ -177,7 +177,9 @@ def per_entry_ess(chain: Chain) -> np.ndarray:
 
     Constant entries get ESS T without a warning.
     """
-    ess, _ = _ess_rows(chain.samples.reshape(chain.n_samples, -1).T, ESS_CAP_RATIO)
+    # One copy to (p * k, T) rows, whatever the layout of the samples.
+    rows = np.ascontiguousarray(chain.samples.transpose(1, 2, 0)).reshape(-1, chain.n_samples)
+    ess, _ = _ess_rows(rows, ESS_CAP_RATIO)
     return ess.reshape(chain.n_variables, chain.n_factors)
 
 

@@ -6,44 +6,48 @@ when its predicted objective gain clears a tolerance-scaled gate, which makes
 a converged matrix an exact fixed point of ``varimax_rotate`` (re-rotating it
 is a bitwise no-op).
 
-Complex pair form.  For a column pair x, y of length p, let u = x*x - y*y,
-v = 2*x*y and w = u + iv.  Then a + ib = sum(w) and c + id = sum(w*w)
-(unconjugated), and q = p*(c + id) - (a + ib)^2 holds the numerator
-(imaginary part) and denominator (real part) of the optimal angle,
-theta = atan2(Im q, Re q) / 4.  An accepted rotation multiplies x + iy by
-exp(-i*theta), for the working columns and the rotation's columns in one
-buffer.  u and v are formed by real products, as the closed form is written:
-squaring z = x + iy instead would give a real part x*x - y*y fused into one
-rounding, which leaves a residue where the real products cancel exactly
-(|x| = |y|).
+Pair step.  For a column pair x, y of length p, let u = x*x - y*y and
+v = 2*x*y.  With a = sum(u), b = sum(v), c = sum(u*u - v*v) and
+d = 2*sum(u*v), the optimal angle is theta = atan2(num + 0.0, den) / 4 for
+num = p*d - 2*a*b and den = p*c - (a*a - b*b), and the turn maps x, y to
+cos(theta)*x + sin(theta)*y and cos(theta)*y - sin(theta)*x, for the working
+columns and the rotation's columns alike.
 
 Stacks.  ``varimax_rotate`` takes one (p, k) matrix or a (T, p, k) stack of
 samples; a single matrix is rotated as a stack of one, by the same kernel.
-The kernel holds the stack as one (T, k, p + k) state: row j of sample t is
-column j of its working matrix followed by column j of its rotation.  Each
-pair step works on every active sample at once, with numpy calls over the
-sample axis, but the gain gate, the objective and the stopping rule are each
-sample's own: a rotation is applied only to the samples whose gain clears
-their gate.  A sample leaves the active set after its first sweep that
-applies no rotation (converged) or once it has run ``max_iterations`` sweeps
-(not converged), so the kernel runs as many sweeps as its slowest sample.
-Every per-sample reduction runs along one contiguous row, so a sample's
-result does not depend on the other samples in the stack: each sample of a
-stack call equals the single-matrix call on it.  For a stack, ``iterations``
-is the number of sweeps the kernel ran, the largest per-sample count, and
-``converged`` tells whether every sample converged; ``sample_iterations`` and
-``sample_converged`` hold both per sample.
+The kernel holds the stack as one real (k, p + k, n + 1) state with the
+sample axis innermost: block j holds column j of each of the n active
+samples' working matrices over column j of its rotation, and the last
+column is an all-zero sample whose gate is +inf, so it never turns.  Each
+pair step works on every active sample at once, with real ufuncs over two
+contiguous (p + k, n + 1) blocks, but the gain gate, the objective and the
+stopping rule are each sample's own: one masked copy writes the turned
+columns back for the samples whose gain clears their gate.  A sample leaves
+the active set after its first sweep that applies no rotation (converged)
+or once it has run ``max_iterations`` sweeps (not converged), so the kernel
+runs as many sweeps as its slowest sample.  For a stack, ``iterations`` is
+the number of sweeps the kernel ran, the largest per-sample count, and
+``converged`` tells whether every sample converged; ``sample_iterations``
+and ``sample_converged`` hold both per sample.
+
+Each sample of a stack call equals the single-matrix call on it, bitwise,
+by two invariants of the layout.  numpy sums a C-contiguous (p, m) array
+along axis 0 one row at a time when m >= 2, but pairwise when m = 1; the
+zero sample keeps m >= 2, so a sample's sums do not depend on how many
+other samples are active.  And finished samples are compacted away with
+``np.compress``, whose result is C-contiguous: boolean indexing would put p
+innermost and make the sums pairwise again.
 
 Scale.  The kernel rotates each sample at the power-of-two scale 2**-e that
 puts its largest |entry| in [0.5, 1), before Kaiser normalization.  Scaling
-by a power of two is exact, and every sweep term (u, v, q, the gain, the
-gate and the angle) scales with it, so the rotation is the one the sample
+by a power of two is exact, and every sweep term (u, v, num, den, the gain,
+the gate and the angle) scales with it, so the rotation is the one the sample
 would get at its own scale, barring underflow and overflow there.  The
-working rows keep norm <= sqrt(k) under rotation, so |q| <= 2 p^2 k^2 and no
-sweep term can overflow; tiny loadings rotate as they would at unit scale.
-The rotated stack and its objective are computed at the input's scale, and
-the objective is the one value checked for overflow: the error names the
-first sample whose objective is not finite.
+working rows keep norm <= sqrt(k) under rotation, so |num| and |den| are at
+most 2 p^2 k^2 and no sweep term can overflow; tiny loadings rotate as they
+would at unit scale.  The rotated stack and its objective are computed at
+the input's scale, and the objective is the one value checked for overflow:
+the error names the first sample whose objective is not finite.
 
 Limits.  The fixed point holds for generic tall inputs.  With exactly
 duplicated or negated columns a pair's angle sits on a tie of the objective,
@@ -173,108 +177,76 @@ def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig):
     t_len, p, k = arr.shape
     _, exponent = np.frexp(np.max(np.abs(arr), axis=(1, 2)))
     scaled = np.ldexp(arr, -exponent[:, None, None])
-    state = np.empty((t_len, k, p + k))
     if cfg.normalize:
         # Kaiser normalization; rotation preserves row norms, so returning
         # arr @ R already undoes the scaling.
         row_norms = np.sqrt(np.sum(scaled * scaled, axis=2))
         scaled = scaled / np.where(row_norms > 0, row_norms, 1.0)[:, :, None]
-    state[:, :, :p] = scaled.transpose(0, 2, 1)
-    state[:, :, p:] = np.eye(k)
-    sq = np.square(state[:, :, :p])
-    crit = _criteria(sq)
-    ids = np.arange(t_len)  # sample index of each active row
+    # Block j holds column j of each active sample's working matrix over
+    # column j of its rotation, one sample per column, and last the zero
+    # sample.  numpy sums a C-contiguous (p, m) array along axis 0 one row
+    # at a time when m >= 2, but pairwise when m = 1; the zero sample keeps
+    # m >= 2, so a sample's sums do not depend on the other samples.
+    state = np.zeros((k, p + k, t_len + 1))
+    state[:, :p, :t_len] = scaled.transpose(2, 1, 0)
+    state[:, p:, :t_len] = np.eye(k)[:, :, None]
+    ids = np.arange(t_len)  # sample index of each active column but the last
     # Filled as samples finish.
     rotation = np.empty((t_len, k, k))
     sweeps = np.empty(t_len, dtype=np.int64)
     converged = np.empty(t_len, dtype=bool)
 
-    # Scratch for the whole stack, sliced to the active rows.  terms[:, 0] is
-    # w and terms[:, 1] is w * w, so one reduction gives a + ib and c + id.
-    terms_buf = np.empty((t_len, 2, p), dtype=np.complex128)
-    z_buf = np.empty((t_len, p + k), dtype=np.complex128)
-    angle_buf = np.zeros(t_len, dtype=np.complex128)  # real part stays 0
-    ratio_buf = np.zeros(t_len)
-    n_pairs = k * (k - 1) // 2
-    pairs = None
-    for sweep in range(1, cfg.max_iterations + 1):
-        n_active = len(ids)
-        if not n_active:
-            break
-        if pairs is None:
-            # Views of the active rows per column pair, in cyclic order: the
-            # two rows of the squares, working matrix and state, and both
-            # working and square rows through one strided slice.
-            work = state[:, :, :p]
-            pairs = [
-                (
-                    a, b, sq[:, a], sq[:, b], work[:, a], work[:, b],
-                    state[:, a], state[:, b], work[:, ab], sq[:, ab],
-                )
-                for a in range(k - 1)
-                for b in range(a + 1, k)
-                for ab in [slice(a, b + 1, b - a)]
-            ]
-            terms = terms_buf[:n_active]
-            w, ww = terms[:, 0], terms[:, 1]
-            u, v = w.real, w.imag
-            ratio = ratio_buf[:n_active]
+    pairs = [(a, b) for a in range(k - 1) for b in range(a + 1, k)]
+    sweep = 0
+    while ids.size:
+        sweep += 1
         # A rotation is skipped unless its predicted gain clears this gate, so
         # a no-op sweep bounds the relative criterion improvement by the
         # tolerance and leaves the matrix an exact fixed point.  Four times
         # the gain is compared with four times the gate, which is exact.
-        gate4 = 4.0 * (cfg.tolerance * np.maximum(crit, _TINY) / n_pairs)
-        applied = np.zeros(n_active, dtype=bool)
-        for a, b, x_sq, y_sq, x, y, x_state, y_state, work_ab, sq_ab in pairs:
-            np.subtract(x_sq, y_sq, out=u)
-            np.multiply(x, y, out=v)
-            np.add(v, v, out=v)
-            np.multiply(w, w, out=ww)
-            sums = np.add.reduce(terms, axis=2)
-            q = p * sums[:, 1] - sums[:, 0] * sums[:, 0]
-            num, den = q.imag, q.real
-            hyp = np.hypot(num, den)
+        crit = _criteria(np.square(state[:, :p]).transpose(2, 0, 1))
+        gate4 = 4.0 * (cfg.tolerance * np.maximum(crit, _TINY) / len(pairs))
+        gate4[-1] = np.inf  # the zero sample never turns
+        applied = np.zeros(len(gate4), dtype=bool)
+        for a, b in pairs:
+            xy = state[a : b + 1 : b - a]  # blocks a and b
+            x, y = xy[:, :p]
+            u = x * x - y * y
+            v = 2.0 * x * y
+            sum_u = np.add.reduce(u, axis=0)
+            sum_v = np.add.reduce(v, axis=0)
+            num = p * (2.0 * np.add.reduce(u * v, axis=0)) - 2.0 * sum_u * sum_v
+            den = p * np.add.reduce(u * u - v * v, axis=0) - (sum_u * sum_u - sum_v * sum_v)
             # hyp - den cancels catastrophically when num << den; use the stable
             # form, dividing before multiplying so that num * num cannot overflow.
             pos = den > 0
-            gain4 = np.add(hyp, np.abs(den))  # hyp - den where den <= 0
-            np.divide(num, gain4, out=ratio, where=pos)
+            gain4 = np.hypot(num, den) + np.abs(den)  # hyp - den where den <= 0
+            ratio = np.divide(num, gain4, out=np.zeros_like(gain4), where=pos)
             np.multiply(num, ratio, out=gain4, where=pos)
             accept = gain4 > gate4
-            n_accept = np.count_nonzero(accept)
-            if not n_accept:
+            if not np.count_nonzero(accept):
                 continue
             applied |= accept
-            z, angle = z_buf[:n_accept], angle_buf[:n_accept]
             # + 0.0 maps -0.0 to +0.0, so a zero numerator over a negative
             # den turns by +pi/4, not -pi/4.
-            if n_accept == n_active:  # every active sample turns: no gathers
-                np.multiply(np.arctan2(num + 0.0, den), -0.25, out=angle.imag)
-                z.real[...] = x_state
-                z.imag[...] = y_state
-                z *= np.exp(angle)[:, None]
-                x_state[...] = z.real
-                y_state[...] = z.imag
-            else:
-                rows = np.flatnonzero(accept)
-                np.multiply(np.arctan2(num[rows] + 0.0, den[rows]), -0.25, out=angle.imag)
-                z.real[...] = state[rows, a]
-                z.imag[...] = state[rows, b]
-                z *= np.exp(angle)[:, None]
-                state[rows, a] = z.real
-                state[rows, b] = z.imag
-            np.square(work_ab, out=sq_ab)
+            theta = np.arctan2(num + 0.0, den) / 4.0
+            turned = np.cos(theta) * xy
+            sin_xy = np.sin(theta) * xy
+            turned[0] += sin_xy[1]  # cos x + sin y
+            turned[1] -= sin_xy[0]  # cos y - sin x
+            np.copyto(xy, turned, where=accept)
 
-        crit = _criteria(sq)
-        done = ~applied if sweep < cfg.max_iterations else np.ones(n_active, dtype=bool)
+        done = ~applied if sweep < cfg.max_iterations else np.ones_like(applied)
+        done[-1] = False  # the zero sample stays
         if np.count_nonzero(done):
-            finished = ids[done]
-            rotation[finished] = state[done, :, p:].transpose(0, 2, 1)
+            finished = ids[done[:-1]]
+            rotation[finished] = state[:, p:, done].transpose(2, 1, 0)
             sweeps[finished] = sweep
             converged[finished] = ~applied[done]
-            keep = ~done
-            state, sq, crit, ids = state[keep], sq[keep], crit[keep], ids[keep]
-            pairs = None
+            # np.compress returns the kept samples C-contiguous; the boolean
+            # index state[:, :, ~done] would put p innermost and sum pairwise.
+            state = np.compress(~done, state, axis=2)
+            ids = ids[~done[:-1]]
     return rotation, sweeps, converged
 
 

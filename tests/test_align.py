@@ -27,6 +27,7 @@ from factoralign import (
 from factoralign.align import (
     _NON_FINITE_DISTANCE,
     _assignment,
+    _permutations,
     _signed_d2,
     _unstable_d2,
 )
@@ -368,6 +369,15 @@ def test_brute_force_equals_scalar_scan(seed, k, kind):
     ref = _brute_force_reference(sample, pivot)
     np.testing.assert_array_equal(sp.perm, ref.perm)
     np.testing.assert_array_equal(sp.signs, ref.signs)
+
+
+def test_brute_force_permutations_are_cached_read_only_and_lexicographic():
+    # The (perm, signs) tie-break takes the first minimizer in this order.
+    for k in range(1, 9):
+        perms = _permutations(k)
+        assert _permutations(k) is perms
+        assert not perms.flags.writeable
+        np.testing.assert_array_equal(perms, list(itertools.permutations(range(k))))
 
 
 def test_brute_force_refuses_large_k():

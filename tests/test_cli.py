@@ -391,6 +391,23 @@ def test_align_out_cannot_overwrite_input_chain(tmp_path, monkeypatch):
         assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
 
 
+def test_diagnose_out_cannot_overwrite_input_chain(tmp_path, monkeypatch, capsys):
+    # The report <out>_report.json once replaced the input chain's manifest.
+    from factoralign import Chain, write_chain
+
+    monkeypatch.chdir(tmp_path)
+    write_chain("d_report", Chain(np.random.default_rng(94).standard_normal((12, 5, 2))))
+    inputs = {name: (tmp_path / name).read_bytes() for name in ("d_report.json", "d_report.bin")}
+    for flag in ("--raw", "--aligned"):
+        for base in ("d_report", "./d_report.json"):
+            assert run(["diagnose", flag, base, "--out", "d"]) == 2
+            assert "would overwrite an input chain file" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["d_report.bin", "d_report.json"]
+            assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
+    assert run(["diagnose", "--raw", "d_report", "--out", "e"]) == 0
+    assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
+
+
 def test_align_negative_threads_exits_2(tmp_path):
     data = simulate_small(tmp_path)
     chain_prefix = fit_small(tmp_path, data)

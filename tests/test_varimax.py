@@ -398,7 +398,7 @@ def test_config_validation():
     max_iterations=st.sampled_from([1, 3, 1000]),
 )
 def test_rotate_equals_pair_loop(seed, shape, log_scale, normalize, max_iterations):
-    """The complex-buffer sweep takes every step the real per-pair loop takes.
+    """The batched sweep takes every step the per-pair loop takes.
 
     Inputs are generic tall Gaussian matrices.  Exactly duplicated or negated
     columns are out of scope: there a pair's angle sits on a tie of the
@@ -511,6 +511,34 @@ def test_stack_rows_equal_single_calls(normalize, max_iterations):
         assert got.sample_iterations[t] == one.iterations
         assert got.sample_converged[t] == one.converged
         assert one.sample_iterations.tolist() == [one.iterations]
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("max_iterations", [1, 3, 1000])
+def test_stack_rows_equal_single_calls_to_the_sign_bit(normalize, max_iterations):
+    # assert_array_equal takes -0.0 for 0.0, so the bits are compared here.
+    # Samples 0 and 2 start converged and stop after one sweep while the
+    # others turn, and sample 4 outlives all the others, so it sweeps beside
+    # no other sample.  A row of -0.0 and a row of subnormals, whose products
+    # round to -0.0 in ``rotated``, make signed zeros.
+    converged_cfg = VarimaxConfig(normalize=normalize)
+    rng = np.random.default_rng(71)
+    stack = rng.standard_normal((6, 12, 4))
+    stack[:, 0] = -0.0
+    stack[:, 1] = 5e-324 * rng.choice([-1.0, 1.0], size=(6, 4))
+    for t in (0, 2):
+        stack[t] = loop_varimax_rotate(stack[t], converged_cfg).rotated
+    sweeps = varimax_rotate(stack, converged_cfg).sample_iterations
+    assert sweeps[0] == sweeps[2] == 1 and np.delete(sweeps, 4).max() < sweeps[4]
+
+    cfg = VarimaxConfig(max_iterations=max_iterations, normalize=normalize)
+    got = varimax_rotate(stack, cfg)
+    assert np.signbit(got.rotated[got.rotated == 0.0]).any()
+    for t, m in enumerate(stack):
+        one = varimax_rotate(m, cfg)
+        np.testing.assert_array_equal(got.rotation[t].view(np.int64), one.rotation.view(np.int64))
+        np.testing.assert_array_equal(got.rotated[t].view(np.int64), one.rotated.view(np.int64))
+        assert got.sample_iterations[t] == one.iterations
 
 
 def test_stack_fixed_point_is_bitwise():
