@@ -11,7 +11,6 @@ generators, and alignment diagnostics round out the toolkit.
 
 from .align import (
     AlignmentReport,
-    MatchConfig,
     MatchOrder,
     align_chain,
     brute_force_match,
@@ -82,7 +81,6 @@ __all__ = [
     "DegenerateSeriesWarning",
     "FileFormatError",
     "GeneratorConfig",
-    "MatchConfig",
     "MatchOrder",
     "NumericalError",
     "PivotSelection",

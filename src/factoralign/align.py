@@ -50,7 +50,6 @@ from .pivot import PivotSelection
 
 __all__ = [
     "AlignmentReport",
-    "MatchConfig",
     "MatchOrder",
     "align_chain",
     "brute_force_match",
@@ -73,13 +72,6 @@ _NON_FINITE_DISTANCE = "matching distance to the pivot is not finite"
 class MatchOrder(enum.Enum):
     BY_DESCENDING_NORM = "norm"
     NATURAL_COLUMN_ORDER = "natural"
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    """Column processing order for the greedy matcher; the distance is always L2."""
-
-    order: MatchOrder = MatchOrder.BY_DESCENDING_NORM
 
 
 @dataclass(frozen=True)
@@ -127,25 +119,24 @@ def _unstable_d2(pivot: np.ndarray) -> float:
 
 
 def _checked_greedy_match(
-    a, pivot, config: MatchConfig | None = None
+    a, pivot, order: MatchOrder = MatchOrder.BY_DESCENDING_NORM
 ) -> tuple[SignedPermutation, int]:
     """Validate the inputs and return the greedy match and its unstable-match count.
 
     The match is the chain kernel's on a stack of one sample.
     """
     a_arr, p_arr = _checked_pair(a, pivot)
-    order = (config or MatchConfig()).order
     perm, signs, matched_d2 = _greedy_match_chain(a_arr[None], p_arr, order)
     if not np.isfinite(matched_d2).all():
         raise NumericalError(_NON_FINITE_DISTANCE)
     n_unstable = int(np.count_nonzero(matched_d2 > _unstable_d2(p_arr)))
-    return SignedPermutation._trusted(perm[0], signs[0]), n_unstable
+    return SignedPermutation(perm[0], signs[0]), n_unstable
 
 
-def greedy_match(a, pivot, config: MatchConfig | None = None) -> SignedPermutation:
+def greedy_match(a, pivot, order: MatchOrder = MatchOrder.BY_DESCENDING_NORM) -> SignedPermutation:
     """Match ``a``'s columns to the pivot's columns greedily, without duplication.
 
-    Processing ``a``'s columns in the configured order, each column is
+    Processing ``a``'s columns in the given ``order``, each column is
     assigned the L2-nearest of the not-yet-matched pivot columns and their
     negatives; the matched column and its negative are then dropped from the
     candidate pool.  This is the single-sample call of the kernel that
@@ -153,7 +144,7 @@ def greedy_match(a, pivot, config: MatchConfig | None = None) -> SignedPermutati
     :class:`NumericalError` when every candidate distance of a column
     overflows.
     """
-    sp, n_unstable = _checked_greedy_match(a, pivot, config)
+    sp, n_unstable = _checked_greedy_match(a, pivot, order)
     if n_unstable:
         logger.warning(
             "%d of %d columns matched at a distance above %.0f%% of the largest "
@@ -342,7 +333,7 @@ def _greedy_match_chain(
 def align_chain(
     chain: Chain,
     pivot_selection: PivotSelection,
-    config: MatchConfig | None = None,
+    order: MatchOrder = MatchOrder.BY_DESCENDING_NORM,
 ) -> tuple[Chain, AlignmentReport]:
     """Greedily align every sample of an orthogonalized chain to the pivot.
 
@@ -353,7 +344,6 @@ def align_chain(
     bitwise.  Raises :class:`NumericalError` naming the first sample whose
     matched distance or loss overflows.
     """
-    cfg = config or MatchConfig()
     pivot = validate_loadings(pivot_selection.pivot, "pivot")
     if pivot.shape != chain.samples.shape[1:]:
         raise ValueError(
@@ -366,11 +356,13 @@ def align_chain(
 
     samples = chain.samples
     t_len, _, k = samples.shape
-    perm, signs, matched_d2 = _greedy_match_chain(samples, pivot, cfg.order)
-    aligned = np.take_along_axis(samples, perm[:, None, :], axis=2) * signs[:, None, :]
+    perm, signs, matched_d2 = _greedy_match_chain(samples, pivot, order)
+    aligned = np.take_along_axis(samples, perm[:, None, :], axis=2)
+    aligned *= signs[:, None, :]
     residual = aligned - pivot
+    np.multiply(residual, residual, out=residual)
     # Summed over each sample's flat p*k entries, as frobenius_norm sums them.
-    losses = np.sqrt(np.add.reduce((residual * residual).reshape(t_len, -1), axis=1))
+    losses = np.sqrt(np.add.reduce(residual.reshape(t_len, -1), axis=1))
     finite = np.isfinite(matched_d2).all(axis=1) & np.isfinite(losses)
     if not finite.all():
         raise NumericalError(f"sample {int(np.argmin(finite))}: {_NON_FINITE_DISTANCE}")
@@ -385,7 +377,7 @@ def align_chain(
         )
     perm.flags.writeable = False
     signs.flags.writeable = False
-    norm_evals = k if cfg.order is MatchOrder.BY_DESCENDING_NORM else 0
+    norm_evals = k if order is MatchOrder.BY_DESCENDING_NORM else 0
     report = AlignmentReport(
         perm=perm,
         signs=signs,

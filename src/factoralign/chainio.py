@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -57,6 +58,10 @@ class ChainFileManifest:
     dtype: str
     has_residual_variances: bool
     seed_provenance: str | None = None
+
+
+# Each manifest field's type, as the isinstance check that _read_manifest applies.
+_MANIFEST_TYPES = typing.get_type_hints(ChainFileManifest)
 
 
 def chain_paths(base) -> tuple[Path, Path]:
@@ -121,13 +126,22 @@ def write_chain(base, chain: Chain, seed_provenance: str | None = None) -> Chain
 
 def _read_manifest(manifest_path: Path) -> ChainFileManifest:
     try:
-        raw = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(manifest_path.read_bytes())
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and Unicode decoding
         raise FileFormatError(f"cannot read chain manifest {manifest_path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise FileFormatError(f"chain manifest {manifest_path} is not a JSON object")
     try:
         manifest = ChainFileManifest(**raw)
     except TypeError as exc:
         raise FileFormatError(f"invalid manifest fields in {manifest_path}: {exc}") from exc
+    for name, kind in _MANIFEST_TYPES.items():
+        value = getattr(manifest, name)
+        # bool is a subclass of int, but true is not a dimension.
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
+            raise FileFormatError(
+                f"manifest field {name} in {manifest_path} has the wrong type: {value!r}"
+            )
     if manifest.format_version != FORMAT_VERSION:
         raise FileFormatError(
             f"unsupported format_version {manifest.format_version} in {manifest_path}"
@@ -200,15 +214,20 @@ def _write_csv(path, header: str, rows: np.ndarray) -> None:
             fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
-def read_dataset(path) -> np.ndarray:
-    """Read a dataset CSV written by :func:`write_dataset`."""
-    path = Path(path)
+def _read_csv(path: Path, what: str) -> tuple[np.ndarray, str]:
+    """The rows of a CSV as a 2-D float array, and its header line; ``what`` names it in errors."""
     try:
         with path.open() as fh:
             header = fh.readline().strip()
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            return np.loadtxt(fh, delimiter=",", ndmin=2), header
     except (OSError, ValueError) as exc:
-        raise FileFormatError(f"cannot read dataset {path}: {exc}") from exc
+        raise FileFormatError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_dataset(path) -> np.ndarray:
+    """Read a dataset CSV written by :func:`write_dataset`; every entry must be finite."""
+    path = Path(path)
+    data, header = _read_csv(path, "dataset")
     if not header.startswith("v1"):
         raise FileFormatError(f"dataset {path} is missing the v1..vp header row")
     if data.size == 0:
@@ -218,6 +237,8 @@ def read_dataset(path) -> np.ndarray:
         raise FileFormatError(
             f"dataset {path}: header names {expected_cols} columns, rows have {data.shape[1]}"
         )
+    if not np.isfinite(data).all():
+        raise FileFormatError(f"dataset {path} contains non-finite entries")
     return data
 
 
@@ -230,14 +251,9 @@ def write_traces(path, traces: np.ndarray, labels: list[str]) -> None:
 
 
 def read_traces(path) -> tuple[np.ndarray, list[str]]:
-    path = Path(path)
-    try:
-        with path.open() as fh:
-            labels = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise FileFormatError(f"cannot read traces {path}: {exc}") from exc
-    return data, labels
+    """Read a trace CSV written by :func:`write_traces`: the series and their labels."""
+    data, header = _read_csv(Path(path), "traces")
+    return data, header.split(",")
 
 
 def report_text(payload: dict) -> str:

@@ -21,7 +21,6 @@ from . import chainio
 from .align import (
     BRUTE_FORCE_MAX_K,
     UNSTABLE_DISTANCE_FRACTION,
-    MatchConfig,
     MatchOrder,
     _checked_greedy_match,
     align_chain,
@@ -95,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     aln = sub.add_parser("align", help="orthogonalize, pick a pivot, and align a chain")
     aln.add_argument("chain", help="input chain prefix (<chain>.json/.bin)")
     aln.add_argument("--order", choices=sorted(_ORDER_CHOICES), default="norm")
-    aln.add_argument("--pivot-statistic", choices=["auto", "condition", "sigma-max"], default="auto")
+    aln.add_argument("--pivot-statistic", choices=sorted(_PIVOT_CHOICES), default="auto")
     aln.add_argument(
         "--infinite-fraction-threshold",
         type=float,
@@ -211,7 +210,6 @@ def _cmd_align(args) -> int:
         tolerance=args.varimax_tolerance,
         normalize=args.kaiser_normalize,
     )
-    mconfig = MatchConfig(order=_ORDER_CHOICES[args.order])
     check_infinite_fraction_threshold(args.infinite_fraction_threshold)
     # Seconds per stage, each from the end of the one before.
     stamps = [time.perf_counter()]
@@ -225,7 +223,7 @@ def _cmd_align(args) -> int:
         infinite_fraction_threshold=args.infinite_fraction_threshold,
     )
     stamps.append(time.perf_counter())
-    aligned, report = align_chain(rotated, selection, mconfig)
+    aligned, report = align_chain(rotated, selection, _ORDER_CHOICES[args.order])
     stamps.append(time.perf_counter())
     chainio.write_chain(args.out, aligned, seed_provenance=f"align {args.chain}")
     stamps.append(time.perf_counter())

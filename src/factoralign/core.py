@@ -23,6 +23,7 @@ __all__ = [
     "frobenius_norm",
     "random_signed_permutation",
     "validate_loadings",
+    "validate_stack",
 ]
 
 
@@ -68,6 +69,22 @@ def validate_loadings(m, name: str = "loadings") -> np.ndarray:
         raise ValueError(f"{name} must have at least one row and one column, got {arr.shape}")
     if not all_finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def validate_stack(m, name: str) -> np.ndarray:
+    """Coerce ``m`` to a float64 (T, p, k) stack and check the type invariants.
+
+    Raises :class:`SampleError` naming the first sample with a non-finite entry.
+    """
+    arr = np.asarray(m, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ValueError(f"{name} must have shape (T, p, k), got {arr.shape}")
+    if min(arr.shape) < 1:
+        raise ValueError(f"{name} must be non-empty in every dimension, got {arr.shape}")
+    if not all_finite(arr):
+        t = int(np.argmin(np.isfinite(arr).all(axis=(1, 2))))
+        raise SampleError(t, f"{name} contain non-finite entries")
     return arr
 
 
@@ -124,16 +141,6 @@ class SignedPermutation:
     def identity(cls, k: int) -> "SignedPermutation":
         return cls(np.arange(k), np.ones(k, dtype=np.int64))
 
-    @classmethod
-    def _trusted(cls, perm: np.ndarray, signs: np.ndarray) -> "SignedPermutation":
-        # Internal fast path: caller guarantees the invariants and owns the arrays.
-        sp = object.__new__(cls)
-        perm.flags.writeable = False
-        signs.flags.writeable = False
-        object.__setattr__(sp, "perm", perm)
-        object.__setattr__(sp, "signs", signs)
-        return sp
-
     def inverse(self) -> "SignedPermutation":
         inv = np.argsort(self.perm)
         return SignedPermutation(inv, self.signs[inv])
@@ -182,14 +189,8 @@ class Chain:
     residual_variances: np.ndarray | None = None
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 3:
-            raise ValueError(f"samples must have shape (T, p, k), got {samples.shape}")
-        t, p, k = samples.shape
-        if t < 1 or p < 1 or k < 1:
-            raise ValueError(f"samples must be non-empty in every dimension, got {samples.shape}")
-        if not all_finite(samples):
-            raise ValueError("samples contain non-finite entries")
+        samples = validate_stack(self.samples, "samples")
+        t, p, _ = samples.shape
         object.__setattr__(self, "samples", _read_only(samples))
         if self.residual_variances is not None:
             rv = np.asarray(self.residual_variances, dtype=np.float64)

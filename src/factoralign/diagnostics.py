@@ -110,20 +110,20 @@ def covariance_discrepancy(
     return frobenius_norm(raw_gram - mean_aligned @ mean_aligned.T)
 
 
-def effective_sample_size(series, cap_ratio: float = ESS_CAP_RATIO) -> float:
+def effective_sample_size(series) -> float:
     """ESS of one scalar MCMC series: T / (1 + 2 sum of autocorrelations).
 
     The autocorrelation sum is truncated with the initial-positive-sequence
     rule: consecutive-lag pairs are accumulated while their sum stays
     positive.  A constant series returns T with a DegenerateSeriesWarning;
-    estimates are capped at ``cap_ratio * T``.
+    estimates are capped at ``ESS_CAP_RATIO * T``.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"series must be 1-dimensional, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
-    ess, constant = _ess_rows(x[None, :], cap_ratio)
+    ess, constant = _ess_rows(x[None, :].copy())
     if constant[0]:
         warnings.warn(
             "constant series: effective sample size reported as the series length",
@@ -133,23 +133,23 @@ def effective_sample_size(series, cap_ratio: float = ESS_CAP_RATIO) -> float:
     return float(ess[0])
 
 
-def _ess_rows(rows: np.ndarray, cap_ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """ESS of every row of an (m, T) array of series, and which rows are constant.
+def _ess_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ESS of every row of an (m, T) float64 array of series, and which rows are constant.
 
+    The rows are centred in place, so callers pass an array of their own.
     Each row takes the same dot products, in the same order, as a scalar
     series would; a row leaves the working set at its first non-positive
     autocorrelation pair, and the set is compacted only when rows leave it.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
     t = rows.shape[1]
     if t < MIN_SERIES_LENGTH:
         raise ValueError(f"series must have at least {MIN_SERIES_LENGTH} points, got {t}")
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    gamma0 = np.vecdot(centered, centered) / t
+    rows -= rows.mean(axis=1, keepdims=True)
+    gamma0 = np.vecdot(rows, rows) / t
     constant = gamma0 == 0.0
     pair_sums = np.zeros(len(rows))
     active = np.flatnonzero(~constant)
-    work, work_gamma0 = centered[active], gamma0[active]
+    work, work_gamma0 = rows[active], gamma0[active]
     lag = 0
     while active.size and lag < t:
         # at lag + 1 == T both slices are empty, so that product is 0
@@ -162,8 +162,8 @@ def _ess_rows(rows: np.ndarray, cap_ratio: float) -> tuple[np.ndarray, np.ndarra
         if not positive.all():
             active, work, work_gamma0 = active[positive], work[positive], work_gamma0[positive]
         lag += 2
-    tau = np.maximum(2.0 * pair_sums - 1.0, 1.0 / cap_ratio)
-    ess = np.minimum(t / tau, cap_ratio * t)
+    tau = np.maximum(2.0 * pair_sums - 1.0, 1.0 / ESS_CAP_RATIO)
+    ess = np.minimum(t / tau, ESS_CAP_RATIO * t)
     return np.where(constant, float(t), ess), constant
 
 
@@ -177,9 +177,10 @@ def per_entry_ess(chain: Chain) -> np.ndarray:
 
     Constant entries get ESS T without a warning.
     """
-    # One copy to (p * k, T) rows, whatever the layout of the samples.
-    rows = np.ascontiguousarray(chain.samples.transpose(1, 2, 0)).reshape(-1, chain.n_samples)
-    ess, _ = _ess_rows(rows, ESS_CAP_RATIO)
+    # One C-order copy to (p * k, T) rows, whatever the layout of the samples;
+    # _ess_rows centres it in place.
+    rows = chain.samples.transpose(1, 2, 0).copy().reshape(-1, chain.n_samples)
+    ess, _ = _ess_rows(rows)
     return ess.reshape(chain.n_variables, chain.n_factors)
 
 

@@ -19,7 +19,6 @@ from .core import Chain, NumericalError
 
 __all__ = [
     "GeneratorConfig",
-    "GibbsState",
     "NumericalError",
     "SamplerConfig",
     "Scenario",
@@ -99,15 +98,6 @@ class SamplerConfig:
         for name in ("prior_loading_variance", "prior_residual_shape", "prior_residual_rate"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-
-
-@dataclass
-class GibbsState:
-    """Current parameter values of the sampler."""
-
-    loadings: np.ndarray
-    factors: np.ndarray
-    residual_variances: np.ndarray
 
 
 def _draw_inverse_gamma(rng: np.random.Generator, shape: float, rate, size=None) -> np.ndarray:
@@ -231,11 +221,8 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
     logger.debug("centered %d columns; mean magnitudes up to %.3g", p, np.max(np.abs(means)))
 
     rng = np.random.default_rng(cfg.seed)
-    state = GibbsState(
-        loadings=rng.standard_normal((p, k)),
-        factors=np.zeros((n, k)),
-        residual_variances=np.ones(p),
-    )
+    loadings = rng.standard_normal((p, k))
+    variances = np.ones(p)
     eye_k = np.eye(k)
     prior_precision = eye_k / cfg.prior_loading_variance
     shape_post = cfg.prior_residual_shape + 0.5 * n
@@ -248,37 +235,34 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
         # (a) factors | loadings, variances.  Row i is C^{-T}(C^{-1} b_i + z_i)
         # with C C^T = I + Lambda^T Sigma^{-1} Lambda; for n rows, products
         # with C^{-1} are cheaper than LU solves.
-        weighted = state.loadings / state.residual_variances[:, None]
-        chol_inv = np.linalg.inv(
-            _cholesky(eye_k + state.loadings.T @ weighted, "factor-update", iteration)
-        )
+        weighted = loadings / variances[:, None]
+        chol = _cholesky(eye_k + loadings.T @ weighted, "factor-update", iteration)
+        chol_inv = np.linalg.inv(chol)
         z = rng.standard_normal((n, k))
-        state.factors = ((centered @ weighted) @ chol_inv.T + z) @ chol_inv
+        factors = ((centered @ weighted) @ chol_inv.T + z) @ chol_inv
 
         # (b) loadings | factors, variances, all p rows at once.  Row j is
         # C_j^{-T}(C_j^{-1} b_j + z_j) with C_j C_j^T = prior + F^T F / sigma_j.
-        gram = state.factors.T @ state.factors
+        gram = factors.T @ factors
         row_chol = _cholesky(
-            prior_precision + gram / state.residual_variances[:, None, None],
-            "loading-row",
-            iteration,
+            prior_precision + gram / variances[:, None, None], "loading-row", iteration
         )
-        scaled_projections = (state.factors.T @ centered).T / state.residual_variances[:, None]
+        scaled_projections = (factors.T @ centered).T / variances[:, None]
         z = rng.standard_normal((p, k))
-        state.loadings = np.linalg.solve(
+        loadings = np.linalg.solve(
             row_chol.transpose(0, 2, 1),
             np.linalg.solve(row_chol, scaled_projections[:, :, None]) + z[:, :, None],
         )[:, :, 0]
 
         # (c) residual variances | loadings, factors
-        residuals = centered - state.factors @ state.loadings.T
+        residuals = centered - factors @ loadings.T
         rates = cfg.prior_residual_rate + 0.5 * np.sum(residuals * residuals, axis=0)
         if not np.isfinite(rates).all():
             raise NumericalError(f"residual-variance rate is not finite at iteration {iteration}")
-        state.residual_variances = _draw_inverse_gamma(rng, shape_post, rates, size=p)
+        variances = _draw_inverse_gamma(rng, shape_post, rates, size=p)
 
         if iteration >= cfg.burn_in:
-            loadings_draws[iteration - cfg.burn_in] = state.loadings
-            variance_draws[iteration - cfg.burn_in] = state.residual_variances
+            loadings_draws[iteration - cfg.burn_in] = loadings
+            variance_draws[iteration - cfg.burn_in] = variances
 
     return Chain(loadings_draws, variance_draws)

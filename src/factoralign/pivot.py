@@ -51,24 +51,22 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(arr, compute_uv=False)
 
 
-def _condition_numbers(
-    svals: np.ndarray, rank_tolerance: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _condition_numbers(svals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row sigma_max / sigma_min of ``(T, k)`` singular values, and the deficiency mask.
 
     A row is numerically rank deficient when
-    ``sigma_min <= rank_tolerance * sigma_max``; its condition number is +inf.
+    ``sigma_min <= RANK_TOLERANCE * sigma_max``; its condition number is +inf.
     """
     sigma_max, sigma_min = svals[:, 0], svals[:, -1]
     # Rank-deficient rows divide by 1.0, since their sigma_min may be zero.
-    deficient = sigma_min <= rank_tolerance * sigma_max
+    deficient = sigma_min <= RANK_TOLERANCE * sigma_max
     conds = np.where(deficient, np.inf, sigma_max / np.where(deficient, 1.0, sigma_min))
     return conds, deficient
 
 
-def condition_number(m, rank_tolerance: float = RANK_TOLERANCE) -> float:
+def condition_number(m) -> float:
     """sigma_max / sigma_min, or +inf when the matrix is numerically rank deficient."""
-    conds, _ = _condition_numbers(singular_values(m)[None], rank_tolerance)
+    conds, _ = _condition_numbers(singular_values(m)[None])
     return float(conds[0])
 
 
@@ -90,7 +88,6 @@ def select_pivot(
     chain: Chain,
     force_statistic: PivotStatistic | None = None,
     infinite_fraction_threshold: float = INFINITE_FRACTION_THRESHOLD,
-    rank_tolerance: float = RANK_TOLERANCE,
 ) -> PivotSelection:
     """Choose the pivot sample of an orthogonalized chain.
 
@@ -108,7 +105,7 @@ def select_pivot(
     if force_statistic is PivotStatistic.LARGEST_SINGULAR_VALUE:
         statistic = PivotStatistic.LARGEST_SINGULAR_VALUE
     else:
-        conds, deficient = _condition_numbers(svals, rank_tolerance)
+        conds, deficient = _condition_numbers(svals)
         if force_statistic is PivotStatistic.CONDITION_NUMBER:
             statistic = PivotStatistic.CONDITION_NUMBER
         elif np.mean(deficient) > infinite_fraction_threshold:

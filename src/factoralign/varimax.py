@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chain, NumericalError, SampleError, all_finite, validate_loadings
+from .core import Chain, NumericalError, validate_loadings, validate_stack
 
 __all__ = [
     "VarimaxConfig",
@@ -155,15 +155,6 @@ def varimax_criterion(m) -> float:
     entries exceed about 1e77.
     """
     return float(_finite_criteria(validate_loadings(m)[None], named=False)[0])
-
-
-def _validate_stack(arr: np.ndarray) -> np.ndarray:
-    if min(arr.shape) < 1:
-        raise ValueError(f"loadings stack must be non-empty in every dimension, got {arr.shape}")
-    if not all_finite(arr):
-        t = int(np.argmin(np.isfinite(arr).all(axis=(1, 2))))
-        raise SampleError(t, "loadings contains non-finite entries")
-    return arr
 
 
 def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig):
@@ -272,7 +263,7 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
     cfg = config or VarimaxConfig()
     arr = np.asarray(m, dtype=np.float64)
     named = arr.ndim == 3
-    stack = _validate_stack(arr) if named else validate_loadings(arr)[None]
+    stack = validate_stack(arr, "loadings") if named else validate_loadings(arr)[None]
     t_len, _, k = stack.shape
     if k == 1:
         rotation = np.ones((t_len, 1, 1))

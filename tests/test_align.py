@@ -10,7 +10,6 @@ from scipy.optimize import linear_sum_assignment
 
 from factoralign import (
     Chain,
-    MatchConfig,
     MatchOrder,
     NumericalError,
     SignedPermutation,
@@ -35,7 +34,7 @@ from factoralign.pivot import PivotSelection, PivotStatistic
 
 
 def _greedy_match_stats(
-    a: np.ndarray, pivot: np.ndarray, cfg: MatchConfig
+    a: np.ndarray, pivot: np.ndarray, order: MatchOrder
 ) -> tuple[SignedPermutation, int, int, int]:
     """Reference for greedy_match: the rule as a per-sample, per-column scan.
 
@@ -44,7 +43,7 @@ def _greedy_match_stats(
     to norms.
     """
     k = a.shape[1]
-    if cfg.order is MatchOrder.BY_DESCENDING_NORM:
+    if order is MatchOrder.BY_DESCENDING_NORM:
         sq_norms = np.einsum("ij,ij->j", a, a).tolist()
         # Descending norm, ties to the lower source index.
         source_order = sorted(range(k), key=lambda j: (-sq_norms[j], j))
@@ -192,9 +191,9 @@ def test_greedy_natural_column_order():
     rng = np.random.default_rng(44)
     pivot = rng.standard_normal((9, 3))
     sample = noisy_signed_copy(pivot, rng)
-    cfg = MatchConfig(order=MatchOrder.NATURAL_COLUMN_ORDER)
-    sp = greedy_match(sample, pivot, cfg)
-    oracle_sp, n_dist, n_norm, _ = _greedy_match_stats(sample, pivot, cfg)
+    order = MatchOrder.NATURAL_COLUMN_ORDER
+    sp = greedy_match(sample, pivot, order)
+    oracle_sp, n_dist, n_norm, _ = _greedy_match_stats(sample, pivot, order)
     assert sp == oracle_sp
     assert n_norm == 0
     assert n_dist == 3 * 4
@@ -217,7 +216,7 @@ def test_greedy_distance_evaluation_count():
     for k in (1, 2, 5, 8):
         pivot = rng.standard_normal((10, k))
         sample = noisy_signed_copy(pivot, rng)
-        _, n_dist, n_norm, _ = _greedy_match_stats(sample, pivot, MatchConfig())
+        _, n_dist, n_norm, _ = _greedy_match_stats(sample, pivot, MatchOrder.BY_DESCENDING_NORM)
         assert n_dist == k * (k + 1)
         assert n_norm == k
 
@@ -536,17 +535,16 @@ def test_align_chain_equals_per_sample_greedy(caplog, seed, t_len, k, extra_rows
     p = min(k + extra_rows, 30)
     rng = np.random.default_rng(seed)
     chain, selection = _chain_with_ties(rng, t_len, p, k, 10.0**exponent)
-    cfg = MatchConfig(order=order)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="factoralign.align"):
-        aligned, report = align_chain(chain, selection, cfg)
+        aligned, report = align_chain(chain, selection, order)
     records = list(caplog.records)
 
     assert report.perm.shape == report.signs.shape == (t_len, k)
     assert report.perm.dtype == np.intp and report.signs.dtype == np.int64
     unstable = 0
     for t in range(t_len):
-        sp, n_dist, n_norm, n_unstable = _greedy_match_stats(chain.samples[t], selection.pivot, cfg)
+        sp, n_dist, n_norm, n_unstable = _greedy_match_stats(chain.samples[t], selection.pivot, order)
         expected = apply_signed_permutation(chain.samples[t], sp)
         assert np.array_equal(report.perm[t], sp.perm)
         assert np.array_equal(report.signs[t], sp.signs)
@@ -557,7 +555,7 @@ def test_align_chain_equals_per_sample_greedy(caplog, seed, t_len, k, extra_rows
         # when the oracle counts unstable columns.
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="factoralign.align"):
-            assert greedy_match(chain.samples[t], selection.pivot, cfg) == sp
+            assert greedy_match(chain.samples[t], selection.pivot, order) == sp
         assert [r.args[0] for r in caplog.records] == ([n_unstable] if n_unstable else [])
     assert report.comparisons_per_sample == n_dist + n_norm
     assert report.total_loss == float(np.sum(report.losses))

@@ -11,7 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from factoralign import Chain, FileFormatError, read_chain, read_dataset, write_chain, write_dataset
+from factoralign import (
+    Chain,
+    FileFormatError,
+    align_chain,
+    build_report,
+    read_chain,
+    read_dataset,
+    select_pivot,
+    write_chain,
+    write_dataset,
+)
 from factoralign import chainio
 from factoralign.chainio import FLOAT_FORMAT, read_traces, report_text, write_report, write_traces
 
@@ -87,6 +97,30 @@ def test_chain_io_holds_at_most_one_payload(tmp_path):
     assert max(peaks) <= 1.25 * payload, peaks
 
 
+def test_match_and_diagnostics_stages_hold_few_payloads():
+    # align_chain signs and squares in place, and the ESS pass centres its own
+    # copy of the samples in place, so neither stage holds a third copy.
+    rng = np.random.default_rng(85)
+    t, p, k = 2000, 50, 5
+    chain = Chain(rng.standard_normal((t, p, k)))
+    selection = select_pivot(chain)
+    payload = 8 * t * p * k
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, step in (
+            ("align_chain", lambda: align_chain(chain, selection)[0]),
+            ("build_report", lambda: build_report(chain, aligned)),
+        ):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            aligned = step()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - before) / payload
+    finally:
+        tracemalloc.stop()
+    assert peaks["align_chain"] <= 2.5 and peaks["build_report"] <= 3.0, peaks
+
+
 def test_chain_without_residual_variances(tmp_path):
     chain = Chain(np.random.default_rng(81).standard_normal((3, 4, 2)))
     write_chain(tmp_path / "c", chain)
@@ -131,6 +165,49 @@ def test_manifest_rejects_unknown_version(tmp_path, chain):
         read_chain(base)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("p", "7"),
+        ("p", 7.0),
+        ("p", True),
+        ("T", None),
+        ("k", [3]),
+        ("layout", 1),
+        ("has_residual_variances", "no"),
+        ("seed_provenance", 5),
+    ],
+)
+def test_manifest_rejects_wrong_field_type(tmp_path, chain, field, value):
+    base = tmp_path / "chain"
+    write_chain(base, chain)
+    manifest = json.loads(base.with_suffix(".json").read_text())
+    manifest[field] = value
+    base.with_suffix(".json").write_text(json.dumps(manifest))
+    with pytest.raises(FileFormatError, match=f"manifest field {field} "):
+        read_chain(base)
+
+
+@pytest.mark.parametrize("text", [b"[1, 2]", b'"chain"', b'{"p": "\xe9"}'])
+def test_manifest_not_a_utf8_json_object_is_format_error(tmp_path, chain, text):
+    base = tmp_path / "chain"
+    write_chain(base, chain)
+    base.with_suffix(".json").write_bytes(text)
+    with pytest.raises(FileFormatError, match="manifest"):
+        read_chain(base)
+
+
+def test_non_finite_payload_names_the_sample(tmp_path, chain):
+    base = tmp_path / "chain"
+    write_chain(base, chain)
+    payload = bytearray(base.with_suffix(".bin").read_bytes())
+    p, k = chain.n_variables, chain.n_factors
+    payload[8 * 3 * p * k : 8 * (3 * p * k + 1)] = np.array([np.nan], dtype="<f8").tobytes()
+    base.with_suffix(".bin").write_bytes(bytes(payload))
+    with pytest.raises(FileFormatError, match=r"chain\.bin: sample 3: samples contain non-finite"):
+        read_chain(base)
+
+
 def test_missing_manifest_is_format_error(tmp_path):
     with pytest.raises(FileFormatError):
         read_chain(tmp_path / "nope")
@@ -158,6 +235,14 @@ def test_dataset_ragged_rows_rejected(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("v1,v2\n1.0,2.0\n3.0\n")
     with pytest.raises(FileFormatError):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400"])
+def test_dataset_non_finite_entry_is_format_error(tmp_path, entry):
+    path = tmp_path / "data.csv"
+    path.write_text(f"v1,v2\n1.0,2.0\n3.0,{entry}\n")
+    with pytest.raises(FileFormatError, match="non-finite"):
         read_dataset(path)
 
 

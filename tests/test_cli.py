@@ -1,11 +1,17 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import factoralign
 from factoralign import read_chain, read_dataset
@@ -512,6 +518,135 @@ def test_align_varimax_overflow_exits_4_and_writes_nothing(tmp_path, capsys):
     assert code == 4
     assert "error: sample 3: varimax objective is" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
+
+
+def test_fit_non_finite_dataset_exits_3_like_a_non_finite_chain(tmp_path, capsys):
+    data = simulate_small(tmp_path, n=30, p=7, k=2)
+    lines = Path(f"{data}.csv").read_text().splitlines()
+    lines[4] = "nan" + lines[4][lines[4].index(","):]
+    (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+    assert run(["fit", tmp_path / "nan.csv", "--k", 2, "--iterations", 5, "--burn-in", 1, "--out", tmp_path / "c"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+@functools.cache
+def _valid_inputs() -> dict[str, bytes]:
+    """The bytes of a valid 12-sample chain pair and a 20 x 5 dataset CSV."""
+    from factoralign import Chain, write_chain, write_dataset
+
+    rng = np.random.default_rng(98)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_chain(Path(tmp, "c"), Chain(rng.standard_normal((12, 5, 2)), rng.uniform(0.5, 2.0, (12, 5))))
+        write_dataset(Path(tmp, "d.csv"), rng.standard_normal((20, 5)))
+        return {name: Path(tmp, name).read_bytes() for name in ("c.json", "c.bin", "d.csv")}
+
+
+def _assert_clean_exit(files: dict[str, bytes], argv: list[str]) -> None:
+    """Run ``argv``, with ``{in}`` and ``{out}`` filled in, on ``files``; check the exit contract.
+
+    The exit code is a documented one, stderr holds exactly one ``error:``
+    line on failure and none on success, and no input file changes.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs, outputs = Path(tmp, "in"), Path(tmp, "out")
+        inputs.mkdir()
+        outputs.mkdir()
+        for name, data in files.items():
+            (inputs / name).write_bytes(data)
+        args = [arg.format(**{"in": inputs, "out": outputs}) for arg in argv]
+        err = io.StringIO()
+        with np.errstate(all="ignore"), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)  # an exception here is a traceback at the command line
+        assert code in (0, 2, 3, 4)
+        error_lines = [line for line in err.getvalue().split("\n") if line.startswith("error:")]
+        assert len(error_lines) == (code != 0), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert {path.name: path.read_bytes() for path in inputs.iterdir()} == files
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2**64),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(0, 12), max_size=2),
+)
+
+
+def _with_manifest(edit: dict, drop: str | None = None) -> dict[str, bytes]:
+    """The valid inputs with the chain manifest's fields updated by ``edit`` and ``drop`` removed."""
+    files = dict(_valid_inputs())
+    manifest = {**json.loads(files["c.json"]), **edit}
+    manifest.pop(drop, None)
+    files["c.json"] = json.dumps(manifest).encode()
+    return files
+
+
+_MANIFEST_FIELDS = [*json.loads(_valid_inputs()["c.json"]), "extra"]
+
+
+@st.composite
+def _mutated_chain(draw) -> dict[str, bytes]:
+    files = _with_manifest(
+        draw(st.dictionaries(st.sampled_from(_MANIFEST_FIELDS), _JSON_VALUES, max_size=2)),
+        draw(st.none() | st.sampled_from(_MANIFEST_FIELDS)),
+    )
+    files["c.json"] = draw(
+        st.just(files["c.json"]) | st.sampled_from([b"[]", b'"c"', b"{", b"", b'{"p": "\xe9"}'])
+    )
+    payload = bytearray(files["c.bin"])
+    for position, mask in draw(st.lists(st.tuples(st.integers(0, len(payload) - 1), st.integers(1, 255)), max_size=3)):
+        payload[position] ^= mask
+    cut = draw(st.none() | st.integers(0, len(payload)))
+    files["c.bin"] = bytes(payload[:cut]) + draw(st.binary(max_size=9))
+    # A file under another extension leaves its chain incomplete.
+    renamed = draw(st.sampled_from([None, "c.json", "c.bin"]))
+    if renamed:
+        files[renamed + ".bak"] = files.pop(renamed)
+    return files
+
+
+@given(
+    files=_mutated_chain(),
+    command=st.sampled_from(["align", "diagnose"]),
+    suffix=st.sampled_from(["", ".json", ".bin", ".txt"]),
+)
+@example(files=_valid_inputs(), command="align", suffix="")
+@example(files=_with_manifest({"p": "5"}), command="align", suffix="")  # once a TypeError traceback
+@example(files=_with_manifest({"T": None}), command="diagnose", suffix=".bin")  # likewise
+@settings(max_examples=60, deadline=None)
+def test_cli_exit_contract_on_mutated_chain_files(files, command, suffix):
+    chain = "{in}/c" + suffix
+    if command == "align":
+        argv = ["align", chain, "--out", "{out}/a"]
+    else:
+        argv = ["diagnose", "--raw", chain, "--traces", "0,0;4,1", "--out", "{out}/d"]
+    _assert_clean_exit(files, argv)
+
+
+_CSV_TOKENS = ["nan", "inf", "-inf", "1e400", "", "x", "1,2", "#", "v1", "0x1p3", "\x00", "é"]
+
+
+@st.composite
+def _mutated_dataset(draw) -> dict[str, bytes]:
+    lines = _valid_inputs()["d.csv"].decode().split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, len(lines) - 1))
+        cells = lines[row].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_CSV_TOKENS) | st.text(max_size=4))
+        lines[row] = ",".join(cells)
+    text = "\n".join(lines)
+    text = text[: draw(st.none() | st.integers(0, len(text)))]
+    return {**_valid_inputs(), "d.csv": text.encode()}
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns before read_dataset rejects an empty file
+@given(files=_mutated_dataset())
+@example(files=_valid_inputs())
+@settings(max_examples=40, deadline=None)
+def test_cli_exit_contract_on_mutated_dataset(files):
+    _assert_clean_exit(files, ["fit", "{in}/d.csv", "--k", "2", "--iterations", "4", "--burn-in", "1", "--out", "{out}/f"])
 
 
 def test_oracle_check_stdout_uses_report_layout(capsys):
