@@ -16,6 +16,7 @@ import contextlib
 import json
 import os
 import typing
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -217,7 +218,9 @@ def _write_csv(path, header: str, rows: np.ndarray) -> None:
 def _read_csv(path: Path, what: str) -> tuple[np.ndarray, str]:
     """The rows of a CSV as a 2-D float array, and its header line; ``what`` names it in errors."""
     try:
-        with path.open() as fh:
+        with path.open() as fh, warnings.catch_warnings():
+            # An empty body is reported by the caller's error, not a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             header = fh.readline().strip()
             return np.loadtxt(fh, delimiter=",", ndmin=2), header
     except (OSError, ValueError) as exc:

@@ -149,7 +149,7 @@ def _ess_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     constant = gamma0 == 0.0
     pair_sums = np.zeros(len(rows))
     active = np.flatnonzero(~constant)
-    work, work_gamma0 = rows[active], gamma0[active]
+    work, work_gamma0 = (rows[active], gamma0[active]) if constant.any() else (rows, gamma0)
     lag = 0
     while active.size and lag < t:
         # at lag + 1 == T both slices are empty, so that product is 0

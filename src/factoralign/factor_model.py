@@ -198,15 +198,39 @@ def _lowest_failing_row(stack: np.ndarray) -> int:
     return lo
 
 
+def _residual_rates(prior_rate, column_squares, projections, loadings, gram) -> np.ndarray:
+    """Inverse-gamma rates prior_rate + RSS_j / 2 from sufficient statistics.
+
+    RSS_j = sum_i (x_ij - f_i . l_j)^2 = x_j . x_j - 2 l_j . (F^T x_j) + l_j^T (F^T F) l_j,
+    with ``column_squares`` the (p,) x_j . x_j, ``projections`` the (p, k)
+    rows F^T x_j, and ``gram`` F^T F, so no (n, p) residual is formed.
+    """
+    rss = (
+        column_squares
+        - 2.0 * np.vecdot(loadings, projections)
+        + np.vecdot(loadings @ gram, loadings)
+    )
+    # The terms cancel where the factors explain most of a column: the
+    # relative error of rss is about eps * (x.x + 2|l.F^T x| + l^T G l) / rss.
+    # The true RSS is >= 0, so the clamp only absorbs rounding-level
+    # negatives; np.maximum keeps a NaN, which the caller reports.
+    return prior_rate + 0.5 * np.maximum(rss, 0.0)
+
+
 def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
     """Blocked conjugate Gibbs sampler returning the post-burn-in loadings chain.
 
-    Per iteration: factors given loadings and variances, all loading rows at
-    once given factors and variances, then residual variances.  Columns of
-    ``data`` are centered internally.  The chain carries the residual-variance
-    draws.  A non-finite or non-positive-definite posterior precision, or a
-    non-finite residual-variance rate, raises NumericalError naming the
-    iteration (and, for a loading row, the row).
+    Per iteration: (a) factors given loadings and variances, (b) all loading
+    rows at once given factors and variances, then (c) residual variances.
+    Step (c) reads its residual sums of squares from sufficient statistics:
+    the column sums of squares, computed once, and step (b)'s F^T F and
+    F^T x_j, so no (n, p) residual is formed and the per-iteration cost is
+    dominated by the two (n, k) products with the data and the (n, k)
+    normal draw.  Columns of ``data`` are centered internally.  The chain
+    carries the residual-variance draws.  A non-finite or
+    non-positive-definite posterior precision, or a non-finite
+    residual-variance rate, raises NumericalError naming the iteration (and,
+    for a loading row, the row).
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -219,6 +243,7 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
 
     centered, means = center_columns(data)
     logger.debug("centered %d columns; mean magnitudes up to %.3g", p, np.max(np.abs(means)))
+    column_squares = np.vecdot(centered.T, centered.T)
 
     rng = np.random.default_rng(cfg.seed)
     loadings = rng.standard_normal((p, k))
@@ -238,8 +263,10 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
         weighted = loadings / variances[:, None]
         chol = _cholesky(eye_k + loadings.T @ weighted, "factor-update", iteration)
         chol_inv = np.linalg.inv(chol)
-        z = rng.standard_normal((n, k))
-        factors = ((centered @ weighted) @ chol_inv.T + z) @ chol_inv
+        # The draw is added in place, so no third (n, k) array is live.
+        factors = (centered @ weighted) @ chol_inv.T
+        factors += rng.standard_normal((n, k))
+        factors = factors @ chol_inv
 
         # (b) loadings | factors, variances, all p rows at once.  Row j is
         # C_j^{-T}(C_j^{-1} b_j + z_j) with C_j C_j^T = prior + F^T F / sigma_j.
@@ -247,16 +274,18 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
         row_chol = _cholesky(
             prior_precision + gram / variances[:, None, None], "loading-row", iteration
         )
-        scaled_projections = (factors.T @ centered).T / variances[:, None]
+        projections = (factors.T @ centered).T
         z = rng.standard_normal((p, k))
         loadings = np.linalg.solve(
             row_chol.transpose(0, 2, 1),
-            np.linalg.solve(row_chol, scaled_projections[:, :, None]) + z[:, :, None],
+            np.linalg.solve(row_chol, (projections / variances[:, None])[:, :, None])
+            + z[:, :, None],
         )[:, :, 0]
 
         # (c) residual variances | loadings, factors
-        residuals = centered - factors @ loadings.T
-        rates = cfg.prior_residual_rate + 0.5 * np.sum(residuals * residuals, axis=0)
+        rates = _residual_rates(
+            cfg.prior_residual_rate, column_squares, projections, loadings, gram
+        )
         if not np.isfinite(rates).all():
             raise NumericalError(f"residual-variance rate is not finite at iteration {iteration}")
         variances = _draw_inverse_gamma(rng, shape_post, rates, size=p)

@@ -123,13 +123,17 @@ class VarimaxResult:
     sample_converged: np.ndarray
 
 
-def _criteria(sq: np.ndarray) -> np.ndarray:
-    """Raw varimax objective per sample from (T, k, p) squared columns; no validation."""
+def _criteria(sq: np.ndarray, axis: int) -> np.ndarray:
+    """Raw varimax objective per sample from squared loadings; no validation.
+
+    ``sq`` holds the p axis at ``axis`` and the k axis just before it, as in
+    (T, k, p) with ``axis=2`` or (k, p, T) with ``axis=1``.
+    """
     # np.add.reduce is the reduction np.sum runs, without its Python-level
     # wrappers, which cost more than the sums themselves at these sizes.
-    p = sq.shape[-1]
+    p = sq.shape[axis]
     return np.add.reduce(
-        p * np.add.reduce(sq * sq, axis=-1) - np.add.reduce(sq, axis=-1) ** 2, axis=-1
+        p * np.add.reduce(sq * sq, axis=axis) - np.add.reduce(sq, axis=axis) ** 2, axis=axis - 1
     )
 
 
@@ -139,7 +143,7 @@ def _finite_criteria(stack: np.ndarray, named: bool) -> np.ndarray:
     Raises :class:`NumericalError` for the first sample, in index order,
     whose objective is not finite; ``named`` puts its index in the message.
     """
-    criterion = _criteria(np.square(np.ascontiguousarray(stack.transpose(0, 2, 1))))
+    criterion = _criteria(np.square(np.ascontiguousarray(stack.transpose(0, 2, 1))), axis=2)
     finite = np.isfinite(criterion)
     if np.count_nonzero(finite) < len(finite):
         t = int(np.argmin(finite))
@@ -195,7 +199,7 @@ def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig):
         # a no-op sweep bounds the relative criterion improvement by the
         # tolerance and leaves the matrix an exact fixed point.  Four times
         # the gain is compared with four times the gate, which is exact.
-        crit = _criteria(np.square(state[:, :p]).transpose(2, 0, 1))
+        crit = _criteria(np.square(state[:, :p]), axis=1)
         gate4 = 4.0 * (cfg.tolerance * np.maximum(crit, _TINY) / len(pairs))
         gate4[-1] = np.inf  # the zero sample never turns
         applied = np.zeros(len(gate4), dtype=bool)

@@ -16,6 +16,7 @@ from factoralign import (
     FileFormatError,
     align_chain,
     build_report,
+    per_entry_ess,
     read_chain,
     read_dataset,
     select_pivot,
@@ -95,6 +96,24 @@ def test_chain_io_holds_at_most_one_payload(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "c.bin").stat().st_size == payload
     assert max(peaks) <= 1.25 * payload, peaks
+
+
+def test_per_entry_ess_holds_under_two_payloads():
+    # The ESS pass centres one copy of the samples in place and reads that
+    # copy itself until a series leaves the working set; only then does it
+    # compact the surviving rows.
+    rng = np.random.default_rng(86)
+    t, p, k = 2000, 40, 5
+    chain = Chain(rng.standard_normal((t, p, k)))
+    payload = 8 * t * p * k
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        per_entry_ess(chain)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * payload, peak / payload
 
 
 def test_match_and_diagnostics_stages_hold_few_payloads():

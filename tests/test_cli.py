@@ -529,6 +529,21 @@ def test_fit_non_finite_dataset_exits_3_like_a_non_finite_chain(tmp_path, capsys
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "v1,v2,v3\n"], ids=["empty", "header-only"])
+def test_fit_dataset_without_rows_prints_one_error_line(tmp_path, text):
+    # numpy's "input contained no data" warning once printed two lines before
+    # the error; warnings reach stderr only in a fresh interpreter.
+    (tmp_path / "d.csv").write_text(text)
+    src = str(Path(factoralign.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "factoralign", "fit", str(tmp_path / "d.csv"), "--k", "1",
+         "--out", str(tmp_path / "c")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error:"), done.stderr
+
+
 @functools.cache
 def _valid_inputs() -> dict[str, bytes]:
     """The bytes of a valid 12-sample chain pair and a 20 x 5 dataset CSV."""

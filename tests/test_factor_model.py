@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -15,7 +17,13 @@ from factoralign import (
     gibbs_sample,
     validate_identifiability,
 )
-from factoralign.factor_model import _cholesky, _draw_inverse_gamma, block_sizes, center_columns
+from factoralign.factor_model import (
+    _cholesky,
+    _draw_inverse_gamma,
+    _residual_rates,
+    block_sizes,
+    center_columns,
+)
 
 
 def loop_gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
@@ -207,6 +215,51 @@ def test_gibbs_overflow_raises_numerical_error(scale, message):
     ds = generate_sparse(GeneratorConfig(n=30, p=7, k=2, scenario=Scenario.SPARSE, seed=5))
     with pytest.raises(NumericalError, match=message), np.errstate(over="ignore"):
         gibbs_sample(ds.X * scale, SamplerConfig(iterations=5, burn_in=1), k=2)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_residual_rates_equal_direct_sums_of_squares(seed):
+    # At a random (F, L) state the sufficient-statistic RSS equals the directly
+    # summed squared residuals within eps * (x.x + 2|l.F^T x| + l^T G l) per
+    # column, times n for the length-n sums; column 0 is constant (zero once
+    # centred) and the factors fit column 1 exactly.
+    rng = np.random.default_rng(seed)
+    n, p, k = 200, 8, 3
+    factors = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-2, 2)
+    loadings = rng.standard_normal((p, k)) * 10.0 ** rng.uniform(-2, 2)
+    centered, _ = center_columns(rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2, 2, size=p))
+    centered[:, 0] = 0.0
+    centered[:, 1] = factors @ loadings[1]
+    column_squares = np.vecdot(centered.T, centered.T)
+    projections = (factors.T @ centered).T
+    gram = factors.T @ factors
+
+    rss = 2.0 * _residual_rates(0.0, column_squares, projections, loadings, gram)
+    direct = np.sum((centered - factors @ loadings.T) ** 2, axis=0)
+    scale = (
+        column_squares
+        + 2.0 * np.abs(np.vecdot(loadings, projections))
+        + np.vecdot(loadings @ gram, loadings)
+    )
+    assert np.all(np.abs(rss - direct) <= n * np.finfo(float).eps * scale)
+    assert np.all(_residual_rates(0.5, column_squares, projections, loadings, gram) >= 0.5)
+
+
+def test_gibbs_holds_no_per_iteration_residual_array():
+    # Residual sums come from sufficient statistics, so beyond the centred
+    # copy and the chain the sampler holds only (n, k) and (p, k, k) arrays.
+    n, p, k, iterations = 500, 50, 5, 50
+    ds = generate_sparse(GeneratorConfig(n=n, p=p, k=k, scenario=Scenario.SPARSE, seed=6))
+    centered_bytes = 8 * n * p
+    chain_bytes = 8 * iterations * p * (k + 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gibbs_sample(ds.X, SamplerConfig(iterations=iterations, burn_in=0, seed=8), k=k)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < centered_bytes + chain_bytes + centered_bytes / 2, peak
 
 
 def test_lowest_failing_row_is_named():
