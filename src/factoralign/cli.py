@@ -2,7 +2,8 @@
 
 Every subcommand is deterministic given its flags and seed.  ``align
 --threads`` is accepted for compatibility and has no effect.  Exit codes:
-0 success, 2 invalid arguments, 3 input-format error, 4 numeric failure.
+0 success, 2 invalid arguments or an output that cannot be written, 3
+input-format error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -149,6 +151,8 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         off_block_sd=args.off_block_sd,
     )
+    truth_files = chainio.chain_paths(f"{args.out}_truth")
+    _check_targets([("--out", path) for path in (f"{args.out}.csv", *truth_files)])
     dataset = generate_dataset(cfg)
     chainio.write_dataset(f"{args.out}.csv", dataset.X)
     truth = Chain(dataset.true_loadings[None, :, :], dataset.true_residual_variances[None, :])
@@ -162,7 +166,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    data = chainio.read_dataset(args.dataset)
     cfg = SamplerConfig(
         iterations=args.iterations,
         burn_in=args.burn_in,
@@ -171,6 +174,8 @@ def _cmd_fit(args) -> int:
         prior_residual_rate=args.prior_residual_rate,
         seed=args.seed,
     )
+    _check_targets([("--out", path) for path in chainio.chain_paths(args.out)])
+    data = chainio.read_dataset(args.dataset)
     chain = gibbs_sample(data, cfg, args.k)
     provenance = (
         f"fit --k {args.k} --iterations {args.iterations} "
@@ -188,22 +193,33 @@ def _permutation_payload(report) -> list[dict]:
     ]
 
 
-def _refuse_overwrite(target, inputs, message: str) -> None:
-    """Raise ``ValueError(message)`` when ``target`` resolves to one of the ``inputs`` paths."""
-    if Path(target).resolve() in {Path(path).resolve() for path in inputs}:
-        raise ValueError(message)
+def _check_targets(targets, inputs=()) -> None:
+    """Refuse an output path that is a directory or would overwrite an input or another output.
+
+    ``targets`` holds ``(option, path)`` pairs, one per file a command will
+    write, and ``inputs`` ``(what, path)`` pairs.  Commands call this before
+    they read anything, so a bad path costs no work.  Each path is resolved
+    once, and only when there are inputs: a command without them names its
+    outputs by distinct suffixes of one prefix.
+    """
+    taken = {Path(path).resolve(): what for what, path in inputs}
+    for option, target in targets:
+        if os.path.isdir(target):
+            raise ValueError(f"{option} path {target} is a directory")
+        if taken:
+            resolved = Path(target).resolve()
+            if resolved in taken:
+                raise ValueError(f"{option} path {target} would overwrite {taken[resolved]}")
+            taken[resolved] = f"the {option} output"
 
 
 def _cmd_align(args) -> int:
     if args.threads is not None and args.threads < 0:
         raise ValueError("--threads must be >= 0")
     report_path = args.report if args.report else f"{args.out}_report.json"
-    out_files, in_files = chainio.chain_paths(args.out), chainio.chain_paths(args.chain)
-    _refuse_overwrite(
-        out_files[0], in_files[:1], f"--out {args.out} would overwrite the input chain {args.chain}"
-    )
-    _refuse_overwrite(
-        report_path, out_files + in_files, f"--report path {report_path} collides with a chain file"
+    _check_targets(
+        [("--out", path) for path in chainio.chain_paths(args.out)] + [("--report", report_path)],
+        [("an input chain file", path) for path in chainio.chain_paths(args.chain)],
     )
     vconfig = VarimaxConfig(
         max_iterations=args.varimax_max_iterations,
@@ -273,10 +289,12 @@ def _parse_trace_entries(spec: str) -> list[tuple[int, int]]:
 def _cmd_diagnose(args) -> int:
     if args.raw is None and args.aligned is None:
         raise ValueError("at least one of --raw / --aligned is required")
-    report_path = f"{args.out}_report.json"
+    report_path, traces_path = f"{args.out}_report.json", f"{args.out}_traces.csv"
     chains = [chain for chain in (args.raw, args.aligned) if chain]
-    inputs = [path for chain in chains for path in chainio.chain_paths(chain)]
-    _refuse_overwrite(report_path, inputs, f"--out {args.out} would overwrite an input chain file")
+    _check_targets(
+        [("--out", report_path)] + ([("--out", traces_path)] if args.traces is not None else []),
+        [("an input chain file", path) for chain in chains for path in chainio.chain_paths(chain)],
+    )
     entries = _parse_trace_entries(args.traces) if args.traces is not None else None
     raw = chainio.read_chain(args.raw)[0] if args.raw else None
     aligned = chainio.read_chain(args.aligned)[0] if args.aligned else None
@@ -286,7 +304,6 @@ def _cmd_diagnose(args) -> int:
         source = aligned if aligned is not None else raw
         traces = export_traces(source, entries)
         labels = [f"r{i}_c{j}" for i, j in entries]
-        traces_path = f"{args.out}_traces.csv"
         chainio.write_traces(traces_path, traces, labels)
         payload["traces_file"] = traces_path
 
@@ -300,6 +317,10 @@ def _cmd_oracle_check(args) -> int:
         raise ValueError("--trials must be >= 1")
     if args.k < 1 or args.p < args.k:
         raise ValueError("need p >= k >= 1")
+    if not (np.isfinite(args.noise) and args.noise >= 0):
+        raise ValueError(f"--noise must be finite and >= 0, got {args.noise}")
+    if args.out:
+        _check_targets([("--out", args.out)])
     run_brute = args.brute == "on" or (args.brute == "auto" and args.k <= BRUTE_FORCE_MAX_K)
     if args.brute == "on" and args.k > BRUTE_FORCE_MAX_K:
         raise ValueError(
@@ -406,7 +427,8 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # Readers report their OSErrors as FileFormatError, so these come from writing.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,8 @@ class GeneratorConfig:
             raise ValueError(
                 f"k={self.k} with p={self.p} violates the identifiability rule k <= (p-1)/2"
             )
-        if not self.off_block_sd > 0:
-            raise ValueError("off_block_sd must be > 0")
+        if not (math.isfinite(self.off_block_sd) and self.off_block_sd > 0):
+            raise ValueError(f"off_block_sd must be finite and > 0, got {self.off_block_sd}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,14 @@ class SamplerConfig:
                 f"burn_in={self.burn_in}, iterations={self.iterations}"
             )
         for name in ("prior_loading_variance", "prior_residual_shape", "prior_residual_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        # The prior precision is 1 / prior_loading_variance.
+        if not math.isfinite(1.0 / float(self.prior_loading_variance)):
+            raise ValueError(
+                f"prior_loading_variance {self.prior_loading_variance} has no finite reciprocal"
+            )
 
 
 def _draw_inverse_gamma(rng: np.random.Generator, shape: float, rate, size=None) -> np.ndarray:
@@ -174,8 +181,8 @@ def _cholesky(precision: np.ndarray, what: str, iteration: int) -> np.ndarray:
     row.
     """
     where = f"{what} precision at iteration {iteration}"
-    finite = np.isfinite(precision).all(axis=(-2, -1))
-    if not finite.all():
+    if not np.isfinite(precision).all():
+        finite = np.isfinite(precision).all(axis=(-2, -1))
         row = f", row {np.argmin(finite)}" if precision.ndim == 3 else ""
         raise NumericalError(f"{where}{row} is not finite")
     try:
@@ -196,6 +203,38 @@ def _lowest_failing_row(stack: np.ndarray) -> int:
         except np.linalg.LinAlgError:
             hi = mid
     return lo
+
+
+def _loading_rows(gram, projections, variances, prior_precision, z, iteration) -> np.ndarray:
+    """The loading draw given the factors: row j is C_j^{-T}(C_j^{-1} b_j + z_j).
+
+    C_j is the lower Cholesky factor of Q_j = I / c0 + G / sigma_j, where
+    ``prior_precision`` is I / c0 and G = F^T F is ``gram``; b_j is
+    F^T x_j / sigma_j, with F^T x_j row j of ``projections``, and z_j is row j
+    of the standard normal ``z``.  The draw equals Q_j^{-1}(b_j + C_j z_j),
+    and every Q_j has G's eigenvectors V, so
+    Q_j^{-1} = V diag(1 / (1/c0 + lambda / sigma_j)) V^T: one k x k
+    eigendecomposition and no per-row solve.  The Cholesky factors come from
+    one stacked call, whose checks name a failing row.
+    """
+    row_chol = _cholesky(
+        prior_precision + gram / variances[:, None, None], "loading-row", iteration
+    )
+    rhs = (row_chol @ z[:, :, None])[:, :, 0] + projections / variances[:, None]
+    eigenvalues, basis = np.linalg.eigh(gram)
+    # Row j holds Q_j's eigenvalues; the prior is isotropic, so its diagonal
+    # is its eigenvalues in any basis.  G is a Gram matrix, so only rounding
+    # takes its eigenvalues below 0.
+    precisions = prior_precision.diagonal() + np.maximum(eigenvalues, 0.0) / variances[:, None]
+    # Row j of rhs is Q_j l_j, at most max(precisions_j) |l_j| long.  Both
+    # terms of the quotient are scaled by 2^-e <= 1, with 2^e the power of two
+    # just above the largest precision, so rhs V stays finite unless l
+    # overflows; the scaling is exact and leaves the quotient unchanged.  An
+    # infinite F^T x_j still gives a NaN row, silently as a LAPACK solve does,
+    # and step (c) reports it.
+    scale = math.ldexp(1.0, -max(math.frexp(precisions.max())[1], 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((rhs @ (basis * scale)) / (precisions * scale)) @ basis.T
 
 
 def _residual_rates(prior_rate, column_squares, projections, loadings, gram) -> np.ndarray:
@@ -222,11 +261,13 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
 
     Per iteration: (a) factors given loadings and variances, (b) all loading
     rows at once given factors and variances, then (c) residual variances.
-    Step (c) reads its residual sums of squares from sufficient statistics:
-    the column sums of squares, computed once, and step (b)'s F^T F and
-    F^T x_j, so no (n, p) residual is formed and the per-iteration cost is
-    dominated by the two (n, k) products with the data and the (n, k)
-    normal draw.  Columns of ``data`` are centered internally.  The chain
+    Step (b) takes one stacked Cholesky factorization of the p row
+    precisions and applies their inverses through F^T F's eigenbasis, one
+    k x k eigendecomposition, with no per-row solve.  Step (c) reads its
+    residual sums of squares from sufficient statistics: the column sums of
+    squares, computed once, and step (b)'s F^T F and F^T x_j, so no (n, p)
+    residual is formed and the per-iteration cost is dominated by the two
+    (n, k) products with the data and the (n, k) normal draw.  Columns of ``data`` are centered internally.  The chain
     carries the residual-variance draws.  A non-finite or
     non-positive-definite posterior precision, or a non-finite
     residual-variance rate, raises NumericalError naming the iteration (and,
@@ -268,19 +309,11 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
         factors += rng.standard_normal((n, k))
         factors = factors @ chol_inv
 
-        # (b) loadings | factors, variances, all p rows at once.  Row j is
-        # C_j^{-T}(C_j^{-1} b_j + z_j) with C_j C_j^T = prior + F^T F / sigma_j.
+        # (b) loadings | factors, variances, all p rows at once.
         gram = factors.T @ factors
-        row_chol = _cholesky(
-            prior_precision + gram / variances[:, None, None], "loading-row", iteration
-        )
         projections = (factors.T @ centered).T
         z = rng.standard_normal((p, k))
-        loadings = np.linalg.solve(
-            row_chol.transpose(0, 2, 1),
-            np.linalg.solve(row_chol, (projections / variances[:, None])[:, :, None])
-            + z[:, :, None],
-        )[:, :, 0]
+        loadings = _loading_rows(gram, projections, variances, prior_precision, z, iteration)
 
         # (c) residual variances | loadings, factors
         rates = _residual_rates(

@@ -414,6 +414,74 @@ def test_diagnose_out_cannot_overwrite_input_chain(tmp_path, monkeypatch, capsys
     assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
 
 
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``, with a file's bytes or None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["fit", "{data}.csv", "--k", 3, "--prior-residual-shape", "inf"], "prior_residual_shape"),
+        (["fit", "{data}.csv", "--k", 3, "--prior-residual-rate", "inf"], "prior_residual_rate"),
+        # inf once ran with a flat prior; 1e-320 overflowed the prior precision
+        (["fit", "{data}.csv", "--k", 3, "--prior-loading-variance", "inf"], "prior_loading_variance"),
+        (["fit", "{data}.csv", "--k", 3, "--prior-loading-variance", "1e-320"], "prior_loading_variance"),
+        (["simulate", "--p", 9, "--k", 3, "--scenario", "sparse", "--off-block-sd", "inf"], "off_block_sd"),
+        (["oracle-check", "--trials", 3, "--noise", "inf"], "--noise"),
+        (["oracle-check", "--trials", 3, "--noise", "-1"], "--noise"),
+    ],
+)
+def test_non_finite_hyperparameter_exits_2_with_one_line(tmp_path, capsys, argv, named):
+    data = simulate_small(tmp_path)
+    capsys.readouterr()
+    before = _tree(tmp_path)
+    args = [str(arg).format(data=data) for arg in argv] + ["--out", tmp_path / "o"]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and named in err, err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "argv, directory",
+    [
+        (["fit", "{data}.csv", "--k", 3, "--iterations", 30, "--burn-in", 5, "--out", "o/ff"], "o/ff.bin"),
+        (["align", "{chain}", "--out", "o/a"], "o/a.bin"),
+        (["align", "{chain}", "--out", "o/a", "--report", "o"], "o"),
+        (["diagnose", "--raw", "{chain}", "--out", "o/dd"], "o/dd_report.json"),
+        (["diagnose", "--raw", "{chain}", "--traces", "0,0", "--out", "o/dd"], "o/dd_traces.csv"),
+        (["simulate", "--p", 9, "--k", 3, "--scenario", "sparse", "--out", "o/s"], "o/s_truth.bin"),
+        (["oracle-check", "--trials", 3, "--out", "o/r.json"], "o/r.json"),
+    ],
+)
+def test_output_path_that_is_a_directory_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, argv, directory
+):
+    # Each once did its work, wrote its other outputs, then exited 1 with a
+    # traceback when os.replace met the directory.
+    data = simulate_small(tmp_path)
+    chain = fit_small(tmp_path, data)
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / directory).mkdir(parents=True)
+    before = _tree(tmp_path)
+    assert run([str(arg).format(data=data, chain=chain) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "is a directory" in err, err
+    assert _tree(tmp_path) == before
+
+
+def test_write_failure_exits_2_with_one_line(tmp_path, capsys):
+    # The parent of --out is a file, so the write itself fails.
+    (tmp_path / "f").write_text("")
+    assert run(["oracle-check", "--trials", 3, "--out", tmp_path / "f" / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
+
 def test_align_negative_threads_exits_2(tmp_path):
     data = simulate_small(tmp_path)
     chain_prefix = fit_small(tmp_path, data)
