@@ -27,15 +27,10 @@ from .core import Chain
 __all__ = [
     "ChainFileManifest",
     "FileFormatError",
-    "chain_paths",
     "read_chain",
     "read_dataset",
-    "read_traces",
-    "report_text",
     "write_chain",
     "write_dataset",
-    "write_report",
-    "write_traces",
 ]
 
 FORMAT_VERSION = 1

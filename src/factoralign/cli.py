@@ -30,11 +30,10 @@ from .align import (
     exact_match_assignment,
     match_loss,
 )
-from .core import Chain, random_signed_permutation
+from .core import Chain, NumericalError, random_signed_permutation
 from .diagnostics import build_report, export_traces
 from .factor_model import (
     GeneratorConfig,
-    NumericalError,
     SamplerConfig,
     Scenario,
     generate_dataset,
@@ -52,16 +51,6 @@ __all__ = ["build_parser", "console", "main"]
 
 logger = logging.getLogger(__name__)
 
-_PIVOT_CHOICES = {
-    "auto": None,
-    "condition": PivotStatistic.CONDITION_NUMBER,
-    "sigma-max": PivotStatistic.LARGEST_SINGULAR_VALUE,
-}
-_ORDER_CHOICES = {
-    "norm": MatchOrder.BY_DESCENDING_NORM,
-    "natural": MatchOrder.NATURAL_COLUMN_ORDER,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -77,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, default=500, help="number of observations")
     sim.add_argument("--p", type=int, required=True, help="number of observed variables")
     sim.add_argument("--k", type=int, required=True, help="latent dimension")
-    sim.add_argument("--scenario", choices=["independent", "sparse"], required=True)
+    sim.add_argument("--scenario", choices=[s.value for s in Scenario], required=True)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--off-block-sd", type=float, default=0.01)
     sim.add_argument("--out", required=True, help="output prefix (<out>.csv, <out>_truth.*)")
@@ -95,8 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     aln = sub.add_parser("align", help="orthogonalize, pick a pivot, and align a chain")
     aln.add_argument("chain", help="input chain prefix (<chain>.json/.bin)")
-    aln.add_argument("--order", choices=sorted(_ORDER_CHOICES), default="norm")
-    aln.add_argument("--pivot-statistic", choices=sorted(_PIVOT_CHOICES), default="auto")
+    aln.add_argument("--order", choices=sorted(o.value for o in MatchOrder), default="norm")
+    aln.add_argument(
+        "--pivot-statistic",
+        choices=["auto", *sorted(s.value for s in PivotStatistic)],
+        default="auto",
+    )
     aln.add_argument(
         "--infinite-fraction-threshold",
         type=float,
@@ -194,23 +187,38 @@ def _permutation_payload(report) -> list[dict]:
 
 
 def _check_targets(targets, inputs=()) -> None:
-    """Refuse an output path that is a directory or would overwrite an input or another output.
+    """Refuse an output path that cannot be written or would overwrite an input or another output.
 
     ``targets`` holds ``(option, path)`` pairs, one per file a command will
-    write, and ``inputs`` ``(what, path)`` pairs.  Commands call this before
-    they read anything, so a bad path costs no work.  Each path is resolved
-    once, and only when there are inputs: a command without them names its
-    outputs by distinct suffixes of one prefix.
+    write, and ``inputs`` ``(what, path)`` pairs.  A target is refused when it
+    is a directory, when its nearest existing ancestor is not a directory,
+    when it resolves to an input or an earlier target, or when it lies under
+    another target.  Commands call this before they read anything, so a bad
+    path costs no work.  Each path is resolved once, and only when there are
+    inputs: a command without them names its outputs by distinct suffixes of
+    one prefix, so they neither coincide nor nest.
     """
     taken = {Path(path).resolve(): what for what, path in inputs}
+    outputs = {}
     for option, target in targets:
-        if os.path.isdir(target):
+        path = Path(target)
+        if os.path.isdir(path):
             raise ValueError(f"{option} path {target} is a directory")
+        ancestor = next(parent for parent in path.parents if os.path.exists(parent))
+        if not os.path.isdir(ancestor):
+            raise ValueError(
+                f"{option} path {target} is under {ancestor}, which is not a directory"
+            )
         if taken:
-            resolved = Path(target).resolve()
+            resolved = path.resolve()
             if resolved in taken:
                 raise ValueError(f"{option} path {target} would overwrite {taken[resolved]}")
             taken[resolved] = f"the {option} output"
+            outputs[resolved] = (option, target)
+    for resolved, (option, target) in outputs.items():
+        for above, (other, upper) in outputs.items():
+            if str(resolved).startswith(f"{above}{os.sep}"):
+                raise ValueError(f"{option} path {target} is under the {other} output {upper}")
 
 
 def _cmd_align(args) -> int:
@@ -235,11 +243,13 @@ def _cmd_align(args) -> int:
     stamps.append(time.perf_counter())
     selection = select_pivot(
         rotated,
-        force_statistic=_PIVOT_CHOICES[args.pivot_statistic],
+        force_statistic=(
+            None if args.pivot_statistic == "auto" else PivotStatistic(args.pivot_statistic)
+        ),
         infinite_fraction_threshold=args.infinite_fraction_threshold,
     )
     stamps.append(time.perf_counter())
-    aligned, report = align_chain(rotated, selection, _ORDER_CHOICES[args.order])
+    aligned, report = align_chain(rotated, selection, MatchOrder(args.order))
     stamps.append(time.perf_counter())
     chainio.write_chain(args.out, aligned, seed_provenance=f"align {args.chain}")
     stamps.append(time.perf_counter())
@@ -327,44 +337,43 @@ def _cmd_oracle_check(args) -> int:
             f"brute-force matching requested but k={args.k} exceeds the cap {BRUTE_FORCE_MAX_K}"
         )
 
+    unstable = []
+
+    def greedy(sample, pivot):
+        sp, n_unstable = _checked_greedy_match(sample, pivot)
+        unstable.append(n_unstable)
+        return sp
+
+    matchers = {"greedy": greedy, "exact": exact_match_assignment}
+    if run_brute:
+        matchers["brute"] = brute_force_match
+    losses = {name: [] for name in matchers}
+    seconds = {name: [] for name in matchers}
     rng = np.random.default_rng(args.seed)
-    greedy_losses, exact_losses, brute_losses = [], [], []
-    greedy_times, exact_times, brute_times = [], [], []
-    unstable_trials = unstable_columns = 0
     for _ in range(args.trials):
         pivot = rng.standard_normal((args.p, args.k))
         sp = random_signed_permutation(args.k, rng)
         sample = pivot[:, sp.perm] * sp.signs + args.noise * rng.standard_normal(
             (args.p, args.k)
         )
-        start = time.perf_counter()
-        g, n_unstable = _checked_greedy_match(sample, pivot)
-        greedy_times.append(time.perf_counter() - start)
-        unstable_trials += n_unstable > 0
-        unstable_columns += n_unstable
-        greedy_losses.append(match_loss(sample, g, pivot))
-        start = time.perf_counter()
-        e = exact_match_assignment(sample, pivot)
-        exact_times.append(time.perf_counter() - start)
-        exact_losses.append(match_loss(sample, e, pivot))
-        if run_brute:
+        for name, match in matchers.items():
             start = time.perf_counter()
-            b = brute_force_match(sample, pivot)
-            brute_times.append(time.perf_counter() - start)
-            brute_losses.append(match_loss(sample, b, pivot))
+            matched = match(sample, pivot)
+            seconds[name].append(time.perf_counter() - start)
+            losses[name].append(match_loss(sample, matched, pivot))
 
-    if unstable_columns:
+    if sum(unstable):
         logger.warning(
             "greedy matches of %d columns in %d of %d trials were at a distance above "
             "%.0f%% of the largest pivot column norm; those matches may be unstable",
-            unstable_columns,
-            unstable_trials,
+            sum(unstable),
+            sum(n > 0 for n in unstable),
             args.trials,
             100 * UNSTABLE_DISTANCE_FRACTION,
         )
     greedy_equal = sum(
         1
-        for gl, el in zip(greedy_losses, exact_losses)
+        for gl, el in zip(losses["greedy"], losses["exact"])
         if abs(gl - el) <= 1e-10 * max(1.0, el)
     )
     payload: dict = {
@@ -375,19 +384,18 @@ def _cmd_oracle_check(args) -> int:
         "noise": args.noise,
         "seed": args.seed,
         "brute_force_included": run_brute,
-        "greedy_losses": greedy_losses,
-        "exact_losses": exact_losses,
-        "brute_losses": brute_losses if run_brute else None,
+        "greedy_losses": losses["greedy"],
+        "exact_losses": losses["exact"],
+        "brute_losses": losses.get("brute"),
         "greedy_equals_exact_count": greedy_equal,
         "exact_equals_brute_count": (
-            sum(1 for el, bl in zip(exact_losses, brute_losses) if el == bl)
+            sum(1 for el, bl in zip(losses["exact"], losses["brute"]) if el == bl)
             if run_brute
             else None
         ),
         "timings": {
-            "greedy_median_seconds": median(greedy_times),
-            "exact_median_seconds": median(exact_times),
-            "brute_median_seconds": median(brute_times) if run_brute else None,
+            f"{name}_median_seconds": median(seconds[name]) if name in seconds else None
+            for name in ("greedy", "exact", "brute")
         },
     }
     if args.out:

@@ -7,7 +7,6 @@ and sample indices are 0-based.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ __all__ = [
     "compose",
     "frobenius_norm",
     "random_signed_permutation",
-    "validate_loadings",
-    "validate_stack",
 ]
 
 
@@ -47,18 +44,6 @@ class SampleError(ValueError):
         self.index = index
 
 
-def all_finite(arr: np.ndarray) -> bool:
-    """Whether every entry is finite.
-
-    A single non-finite entry makes the sum non-finite, so the fast path is
-    one reduction; the exact elementwise scan only runs when the sum overflows
-    or a non-finite value might be present.
-    """
-    if math.isfinite(float(np.sum(arr))):
-        return True
-    return bool(np.all(np.isfinite(arr)))
-
-
 def validate_loadings(m, name: str = "loadings") -> np.ndarray:
     """Coerce ``m`` to a float64 (p, k) array and check the type invariants."""
     arr = np.asarray(m, dtype=np.float64)
@@ -67,7 +52,7 @@ def validate_loadings(m, name: str = "loadings") -> np.ndarray:
     p, k = arr.shape
     if p < 1 or k < 1:
         raise ValueError(f"{name} must have at least one row and one column, got {arr.shape}")
-    if not all_finite(arr):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -82,7 +67,7 @@ def validate_stack(m, name: str) -> np.ndarray:
         raise ValueError(f"{name} must have shape (T, p, k), got {arr.shape}")
     if min(arr.shape) < 1:
         raise ValueError(f"{name} must be non-empty in every dimension, got {arr.shape}")
-    if not all_finite(arr):
+    if not np.isfinite(arr).all():
         t = int(np.argmin(np.isfinite(arr).all(axis=(1, 2))))
         raise SampleError(t, f"{name} contain non-finite entries")
     return arr
@@ -198,7 +183,7 @@ class Chain:
                 raise ValueError(
                     f"residual_variances must have shape ({t}, {p}), got {rv.shape}"
                 )
-            if not all_finite(rv) or np.any(rv <= 0):
+            if not np.isfinite(rv).all() or np.any(rv <= 0):
                 raise ValueError("residual_variances must be finite and strictly positive")
             object.__setattr__(self, "residual_variances", _read_only(rv))
 

@@ -17,7 +17,6 @@ import numpy as np
 from .core import Chain, frobenius_norm
 
 __all__ = [
-    "MIN_SERIES_LENGTH",
     "DegenerateSeriesWarning",
     "build_report",
     "covariance_discrepancy",

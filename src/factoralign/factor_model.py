@@ -20,11 +20,9 @@ from .core import Chain, NumericalError
 
 __all__ = [
     "GeneratorConfig",
-    "NumericalError",
     "SamplerConfig",
     "Scenario",
     "SyntheticDataset",
-    "center_columns",
     "generate_dataset",
     "generate_independent",
     "generate_sparse",
@@ -267,11 +265,11 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
     residual sums of squares from sufficient statistics: the column sums of
     squares, computed once, and step (b)'s F^T F and F^T x_j, so no (n, p)
     residual is formed and the per-iteration cost is dominated by the two
-    (n, k) products with the data and the (n, k) normal draw.  Columns of ``data`` are centered internally.  The chain
-    carries the residual-variance draws.  A non-finite or
-    non-positive-definite posterior precision, or a non-finite
-    residual-variance rate, raises NumericalError naming the iteration (and,
-    for a loading row, the row).
+    (n, k) products with the data and the (n, k) normal draw.  Columns of
+    ``data`` are centered internally.  The chain carries the
+    residual-variance draws.  A non-finite or non-positive-definite
+    posterior precision, or a non-finite residual-variance rate, raises
+    NumericalError naming the iteration (and, for a loading row, the row).
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:

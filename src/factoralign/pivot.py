@@ -17,7 +17,6 @@ from .core import Chain, validate_loadings
 __all__ = [
     "PivotSelection",
     "PivotStatistic",
-    "check_infinite_fraction_threshold",
     "condition_number",
     "select_pivot",
     "singular_values",
@@ -101,19 +100,15 @@ def select_pivot(
     if p < k:
         raise ValueError(f"samples must be tall (p >= k), got shape {(p, k)}")
     svals = np.linalg.svd(chain.samples, compute_uv=False)
-    sigma_max = svals[:, 0]
-    if force_statistic is PivotStatistic.LARGEST_SINGULAR_VALUE:
+    conds, deficient = _condition_numbers(svals)
+    if force_statistic is not None:
+        statistic = force_statistic
+    elif np.mean(deficient) > infinite_fraction_threshold:
         statistic = PivotStatistic.LARGEST_SINGULAR_VALUE
     else:
-        conds, deficient = _condition_numbers(svals)
-        if force_statistic is PivotStatistic.CONDITION_NUMBER:
-            statistic = PivotStatistic.CONDITION_NUMBER
-        elif np.mean(deficient) > infinite_fraction_threshold:
-            statistic = PivotStatistic.LARGEST_SINGULAR_VALUE
-        else:
-            statistic = PivotStatistic.CONDITION_NUMBER
+        statistic = PivotStatistic.CONDITION_NUMBER
 
-    stats = sigma_max if statistic is PivotStatistic.LARGEST_SINGULAR_VALUE else conds
+    stats = svals[:, 0] if statistic is PivotStatistic.LARGEST_SINGULAR_VALUE else conds
     index = _lower_median_index(stats)
     return PivotSelection(
         index=index,

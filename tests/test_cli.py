@@ -454,32 +454,46 @@ def test_non_finite_hyperparameter_exits_2_with_one_line(tmp_path, capsys, argv,
         (["diagnose", "--raw", "{chain}", "--traces", "0,0", "--out", "o/dd"], "o/dd_traces.csv"),
         (["simulate", "--p", 9, "--k", 3, "--scenario", "sparse", "--out", "o/s"], "o/s_truth.bin"),
         (["oracle-check", "--trials", 3, "--out", "o/r.json"], "o/r.json"),
+        # Without a directory: f is a regular file, or one output lies under another.
+        pytest.param(["align", "{chain}", "--out", "al", "--report", "f/r.json"], None, id="align-report-under-file"),
+        pytest.param(["align", "{chain}", "--out", "al", "--report", "al.json/r.json"], None, id="align-report-under-out"),
+        pytest.param(["align", "{chain}", "--out", "al/a", "--report", "al"], None, id="align-out-under-report"),
+        pytest.param(["fit", "{data}.csv", "--k", 3, "--iterations", 30, "--burn-in", 5, "--out", "f/x"], None, id="fit-under-file"),
+        pytest.param(["diagnose", "--raw", "{chain}", "--out", "f/g"], None, id="diagnose-under-file"),
+        pytest.param(["simulate", "--p", 9, "--k", 3, "--scenario", "sparse", "--out", "f/s"], None, id="simulate-under-file"),
+        pytest.param(["oracle-check", "--trials", 3, "--out", "f/r.json"], None, id="oracle-check-under-file"),
     ],
 )
 def test_output_path_that_is_a_directory_exits_2_before_any_work(
     tmp_path, monkeypatch, capsys, argv, directory
 ):
-    # Each once did its work, wrote its other outputs, then exited 1 with a
-    # traceback when os.replace met the directory.
+    # Each once did its work, wrote its other outputs, then exited with a
+    # traceback or a bare OSError when the write met the directory or file.
     data = simulate_small(tmp_path)
     chain = fit_small(tmp_path, data)
     capsys.readouterr()
     monkeypatch.chdir(tmp_path)
-    (tmp_path / directory).mkdir(parents=True)
+    (tmp_path / "f").write_text("")
+    if directory:
+        (tmp_path / directory).mkdir(parents=True)
     before = _tree(tmp_path)
     assert run([str(arg).format(data=data, chain=chain) for arg in argv]) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error:") and "is a directory" in err, err
+    expected = "is a directory" if directory else "is under"
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and expected in err, err
     assert _tree(tmp_path) == before
 
 
-def test_write_failure_exits_2_with_one_line(tmp_path, capsys):
-    # The parent of --out is a file, so the write itself fails.
-    (tmp_path / "f").write_text("")
-    assert run(["oracle-check", "--trials", 3, "--out", tmp_path / "f" / "r.json"]) == 2
+def test_write_failure_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # The target passes every check and the write itself fails.
+    def refuse(source, target):
+        raise PermissionError(13, "Permission denied", str(target))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert run(["oracle-check", "--trials", 3, "--out", tmp_path / "r.json"]) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "Permission denied" in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_align_negative_threads_exits_2(tmp_path):

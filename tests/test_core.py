@@ -1,6 +1,5 @@
-import ast
 import importlib
-from pathlib import Path
+import pkgutil
 
 import numpy as np
 import pytest
@@ -19,23 +18,34 @@ from factoralign import (
 )
 
 
-def test_package_reexports_are_in_submodule_all():
-    # every public name the package imports from a submodule is also public there
-    tree = ast.parse(Path(factoralign.__file__).read_text())
-    reexports = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-        if alias.name in factoralign.__all__
+# The package's public names: each submodule's __all__ republished.
+PUBLIC_API = [
+    "AlignmentReport", "Chain", "ChainFileManifest", "DegenerateSeriesWarning", "FileFormatError",
+    "GeneratorConfig", "MatchOrder", "NumericalError", "PivotSelection", "PivotStatistic",
+    "SampleError", "SamplerConfig", "Scenario", "SignedPermutation", "SyntheticDataset",
+    "VarimaxConfig", "VarimaxResult", "align_chain", "apply_signed_permutation",
+    "brute_force_match", "build_report", "column_l2_norms", "compose", "condition_number",
+    "covariance_discrepancy", "effective_sample_size", "exact_match_assignment", "export_traces",
+    "frobenius_norm", "generate_dataset", "generate_independent", "generate_sparse",
+    "gibbs_sample", "greedy_match", "match_loss", "mean_ess_ratio", "orthogonalize_chain",
+    "per_entry_ess", "random_signed_permutation", "read_chain", "read_dataset", "select_pivot",
+    "singular_values", "validate_identifiability", "varimax_criterion", "varimax_rotate",
+    "write_chain", "write_dataset",
+]
+
+
+def test_package_all_pins_the_public_api():
+    assert len(set(factoralign.__all__)) == len(factoralign.__all__)
+    assert sorted(factoralign.__all__) == PUBLIC_API
+    submodules = [
+        importlib.import_module(f"factoralign.{info.name}")
+        for info in pkgutil.iter_modules(factoralign.__path__)
+        if info.name != "__main__"
     ]
-    assert len(reexports) == len(factoralign.__all__)
-    missing = [
-        (module, name)
-        for module, name in reexports
-        if name not in importlib.import_module(f"factoralign.{module}").__all__
-    ]
-    assert missing == []
+    for name in factoralign.__all__:
+        owners = [module for module in submodules if name in module.__all__]
+        assert len(owners) == 1, (name, [module.__name__ for module in owners])
+        assert getattr(factoralign, name) is getattr(owners[0], name), name
 
 
 def test_frobenius_norm_zero_matrix():
