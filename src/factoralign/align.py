@@ -118,6 +118,25 @@ def _unstable_d2(pivot: np.ndarray) -> float:
     return UNSTABLE_DISTANCE_FRACTION**2 * float(np.max(np.einsum("ij,ij->j", pivot, pivot)))
 
 
+def _warn_unstable_matches(per_sample, unit: str) -> None:
+    """Log one warning counting unstable matches, from each sample's count of them.
+
+    ``unit`` names the samples in the message.  Nothing is logged when every
+    count is 0.  The record's first argument is the total count.
+    """
+    counts = np.asarray(per_sample)
+    if counts.any():
+        logger.warning(
+            "%d column matches in %d of %d %s were at a distance above %.0f%% of the largest "
+            "pivot column norm; those matches may be unstable",
+            int(counts.sum()),
+            np.count_nonzero(counts),
+            counts.size,
+            unit,
+            100 * UNSTABLE_DISTANCE_FRACTION,
+        )
+
+
 def _checked_greedy_match(
     a, pivot, order: MatchOrder = MatchOrder.BY_DESCENDING_NORM
 ) -> tuple[SignedPermutation, int]:
@@ -145,14 +164,7 @@ def greedy_match(a, pivot, order: MatchOrder = MatchOrder.BY_DESCENDING_NORM) ->
     overflows.
     """
     sp, n_unstable = _checked_greedy_match(a, pivot, order)
-    if n_unstable:
-        logger.warning(
-            "%d of %d columns matched at a distance above %.0f%% of the largest "
-            "pivot column norm; those matches may be unstable",
-            n_unstable,
-            sp.k,
-            100 * UNSTABLE_DISTANCE_FRACTION,
-        )
+    _warn_unstable_matches([n_unstable], "sample")
     return sp
 
 
@@ -344,15 +356,12 @@ def align_chain(
     bitwise.  Raises :class:`NumericalError` naming the first sample whose
     matched distance or loss overflows.
     """
-    pivot = validate_loadings(pivot_selection.pivot, "pivot")
-    if pivot.shape != chain.samples.shape[1:]:
-        raise ValueError(
-            f"pivot shape {pivot.shape} does not match chain samples {chain.samples.shape[1:]}"
-        )
     if not 0 <= pivot_selection.index < chain.n_samples or not np.array_equal(
-        chain.samples[pivot_selection.index], pivot
+        chain.samples[pivot_selection.index], pivot_selection.pivot
     ):
         raise ValueError("pivot selection was not drawn from this chain")
+    # Equal to a sample of the validated chain, the pivot has its shape and is finite.
+    pivot = chain.samples[pivot_selection.index]
 
     samples = chain.samples
     t_len, _, k = samples.shape
@@ -367,14 +376,7 @@ def align_chain(
     if not finite.all():
         raise NumericalError(f"sample {int(np.argmin(finite))}: {_NON_FINITE_DISTANCE}")
 
-    total_unstable = int(np.count_nonzero(matched_d2 > _unstable_d2(pivot)))
-    if total_unstable:
-        logger.warning(
-            "%d column matches across %d samples exceeded the unstable-distance "
-            "threshold; over-fitted near-zero columns are the usual cause",
-            total_unstable,
-            t_len,
-        )
+    _warn_unstable_matches(np.count_nonzero(matched_d2 > _unstable_d2(pivot), axis=1), "samples")
     perm.flags.writeable = False
     signs.flags.writeable = False
     norm_evals = k if order is MatchOrder.BY_DESCENDING_NORM else 0

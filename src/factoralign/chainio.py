@@ -61,11 +61,14 @@ _MANIFEST_TYPES = typing.get_type_hints(ChainFileManifest)
 
 
 def chain_paths(base) -> tuple[Path, Path]:
-    """The ``(<base>.json, <base>.bin)`` manifest and payload paths of a chain."""
-    base = Path(base)
-    if base.suffix in (".json", ".bin"):
-        base = base.with_suffix("")
-    return base.with_suffix(".json"), base.with_suffix(".bin")
+    """The ``(<base>.json, <base>.bin)`` manifest and payload paths of a chain.
+
+    The suffixes are appended to ``base`` as written, after one trailing
+    ``.json`` or ``.bin`` is dropped, so ``run.v1`` names ``run.v1.json``.
+    """
+    stem, suffix = os.path.splitext(os.fspath(base))
+    base = stem if suffix in (".json", ".bin") else os.fspath(base)
+    return Path(f"{base}.json"), Path(f"{base}.bin")
 
 
 @contextlib.contextmanager

@@ -3,14 +3,16 @@
 Every subcommand is deterministic given its flags and seed.  ``align
 --threads`` is accepted for compatibility and has no effect.  Exit codes:
 0 success, 2 invalid arguments or an output that cannot be written, 3
-input-format error, 4 numeric failure.
+input-format error, 4 numeric failure.  Among the exit-2 cases, each found
+before any work: an ``--out`` that is empty or ends in a path separator, and
+a ``fit --out`` whose chain files would overwrite the dataset.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import logging
 import os
 import sys
 import time
@@ -22,9 +24,9 @@ import numpy as np
 from . import chainio
 from .align import (
     BRUTE_FORCE_MAX_K,
-    UNSTABLE_DISTANCE_FRACTION,
     MatchOrder,
     _checked_greedy_match,
+    _warn_unstable_matches,
     align_chain,
     brute_force_match,
     exact_match_assignment,
@@ -49,8 +51,6 @@ from .varimax import VarimaxConfig, orthogonalize_chain
 
 __all__ = ["build_parser", "console", "main"]
 
-logger = logging.getLogger(__name__)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -68,23 +68,31 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--k", type=int, required=True, help="latent dimension")
     sim.add_argument("--scenario", choices=[s.value for s in Scenario], required=True)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--off-block-sd", type=float, default=0.01)
+    sim.add_argument("--off-block-sd", type=float, default=GeneratorConfig.off_block_sd)
     sim.add_argument("--out", required=True, help="output prefix (<out>.csv, <out>_truth.*)")
 
     fit = sub.add_parser("fit", help="run the Gibbs sampler on a dataset CSV")
     fit.add_argument("dataset", help="dataset CSV produced by simulate (or compatible)")
     fit.add_argument("--k", type=int, required=True)
-    fit.add_argument("--iterations", type=int, default=11000)
-    fit.add_argument("--burn-in", type=int, default=1000)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--prior-loading-variance", type=float, default=1.0)
-    fit.add_argument("--prior-residual-shape", type=float, default=0.5)
-    fit.add_argument("--prior-residual-rate", type=float, default=0.5)
+    fit.add_argument("--iterations", type=int, default=SamplerConfig.iterations)
+    fit.add_argument("--burn-in", type=int, default=SamplerConfig.burn_in)
+    fit.add_argument("--seed", type=int, default=SamplerConfig.seed)
+    fit.add_argument(
+        "--prior-loading-variance", type=float, default=SamplerConfig.prior_loading_variance
+    )
+    fit.add_argument(
+        "--prior-residual-shape", type=float, default=SamplerConfig.prior_residual_shape
+    )
+    fit.add_argument("--prior-residual-rate", type=float, default=SamplerConfig.prior_residual_rate)
     fit.add_argument("--out", required=True, help="output chain prefix (<out>.json/.bin)")
 
     aln = sub.add_parser("align", help="orthogonalize, pick a pivot, and align a chain")
     aln.add_argument("chain", help="input chain prefix (<chain>.json/.bin)")
-    aln.add_argument("--order", choices=sorted(o.value for o in MatchOrder), default="norm")
+    aln.add_argument(
+        "--order",
+        choices=sorted(o.value for o in MatchOrder),
+        default=MatchOrder.BY_DESCENDING_NORM.value,
+    )
     aln.add_argument(
         "--pivot-statistic",
         choices=["auto", *sorted(s.value for s in PivotStatistic)],
@@ -97,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of rank-deficient samples above which the pivot statistic "
         "falls back to the largest singular value",
     )
-    aln.add_argument("--varimax-tolerance", type=float, default=1e-8)
-    aln.add_argument("--varimax-max-iterations", type=int, default=1000)
+    aln.add_argument("--varimax-tolerance", type=float, default=VarimaxConfig.tolerance)
+    aln.add_argument("--varimax-max-iterations", type=int, default=VarimaxConfig.max_iterations)
     aln.add_argument("--kaiser-normalize", action="store_true")
     aln.add_argument(
         "--threads", type=int, default=None, help="accepted for compatibility; has no effect"
@@ -135,47 +143,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(cls, args, **given):
+    """A ``cls`` config from the parsed options named like its fields, with ``given`` overriding."""
+    parsed = {field.name: getattr(args, field.name) for field in dataclasses.fields(cls)}
+    return cls(**parsed | given)
+
+
+def _provenance(args) -> str:
+    """The parsed command line, for a chain manifest's ``seed_provenance``.
+
+    The subcommand and input path are written bare, then every option as
+    ``--name value`` in the parser's order, a set flag as ``--name`` alone.
+    ``--out`` and ``--report`` name outputs and ``--threads`` has no effect,
+    so they are left out, as are unset flags and options without a value.
+    """
+    words = []
+    for name, value in vars(args).items():
+        if name in ("out", "report", "threads") or value is None or value is False:
+            continue
+        if name not in ("subcommand", "dataset", "chain"):
+            words.append(f"--{name.replace('_', '-')}")
+        if value is not True:
+            words.append(str(value))
+    return " ".join(words)
+
+
 def _cmd_simulate(args) -> int:
-    cfg = GeneratorConfig(
-        n=args.n,
-        p=args.p,
-        k=args.k,
-        scenario=Scenario(args.scenario),
-        seed=args.seed,
-        off_block_sd=args.off_block_sd,
-    )
+    cfg = _config(GeneratorConfig, args, scenario=Scenario(args.scenario))
     truth_files = chainio.chain_paths(f"{args.out}_truth")
     _check_targets([("--out", path) for path in (f"{args.out}.csv", *truth_files)])
     dataset = generate_dataset(cfg)
     chainio.write_dataset(f"{args.out}.csv", dataset.X)
     truth = Chain(dataset.true_loadings[None, :, :], dataset.true_residual_variances[None, :])
-    provenance = (
-        f"simulate --n {args.n} --p {args.p} --k {args.k} "
-        f"--scenario {args.scenario} --seed {args.seed}"
-    )
-    chainio.write_chain(f"{args.out}_truth", truth, seed_provenance=provenance)
-    print(f"wrote {args.out}.csv and {args.out}_truth.json/.bin")
+    chainio.write_chain(f"{args.out}_truth", truth, seed_provenance=_provenance(args))
+    print(f"wrote {args.out}.csv and {truth_files[0]}/.bin")
     return 0
 
 
 def _cmd_fit(args) -> int:
-    cfg = SamplerConfig(
-        iterations=args.iterations,
-        burn_in=args.burn_in,
-        prior_loading_variance=args.prior_loading_variance,
-        prior_residual_shape=args.prior_residual_shape,
-        prior_residual_rate=args.prior_residual_rate,
-        seed=args.seed,
-    )
-    _check_targets([("--out", path) for path in chainio.chain_paths(args.out)])
+    cfg = _config(SamplerConfig, args)
+    chain_files = chainio.chain_paths(args.out)
+    _check_targets([("--out", path) for path in chain_files], [("the dataset", args.dataset)])
     data = chainio.read_dataset(args.dataset)
     chain = gibbs_sample(data, cfg, args.k)
-    provenance = (
-        f"fit --k {args.k} --iterations {args.iterations} "
-        f"--burn-in {args.burn_in} --seed {args.seed}"
-    )
-    chainio.write_chain(args.out, chain, seed_provenance=provenance)
-    print(f"wrote {args.out}.json/.bin with T={chain.n_samples}")
+    chainio.write_chain(args.out, chain, seed_provenance=_provenance(args))
+    print(f"wrote {chain_files[0]}/.bin with T={chain.n_samples}")
     return 0
 
 
@@ -221,12 +233,17 @@ def _check_targets(targets, inputs=()) -> None:
                 raise ValueError(f"{option} path {target} is under the {other} output {upper}")
 
 
+# The stages _cmd_align times, in order; each is reported as <stage>_seconds.
+_ALIGN_STAGES = ("read", "varimax", "pivot", "match", "write_chain", "diagnostics")
+
+
 def _cmd_align(args) -> int:
     if args.threads is not None and args.threads < 0:
         raise ValueError("--threads must be >= 0")
     report_path = args.report if args.report else f"{args.out}_report.json"
+    chain_files = chainio.chain_paths(args.out)
     _check_targets(
-        [("--out", path) for path in chainio.chain_paths(args.out)] + [("--report", report_path)],
+        [("--out", path) for path in chain_files] + [("--report", report_path)],
         [("an input chain file", path) for path in chainio.chain_paths(args.chain)],
     )
     vconfig = VarimaxConfig(
@@ -251,12 +268,14 @@ def _cmd_align(args) -> int:
     stamps.append(time.perf_counter())
     aligned, report = align_chain(rotated, selection, MatchOrder(args.order))
     stamps.append(time.perf_counter())
-    chainio.write_chain(args.out, aligned, seed_provenance=f"align {args.chain}")
+    chainio.write_chain(args.out, aligned, seed_provenance=_provenance(args))
     stamps.append(time.perf_counter())
     diagnostics = build_report(raw_chain, aligned)
     del diagnostics["per_entry_ess_raw"]
     stamps.append(time.perf_counter())
-    read, varimax, pivot, match, write, diagnose = np.diff(stamps).tolist()
+    seconds = dict(zip(_ALIGN_STAGES, np.diff(stamps).tolist()))
+    timings = {f"{stage}_seconds": value for stage, value in seconds.items()}
+    timings["elapsed_align_seconds"] = seconds["varimax"] + seconds["pivot"] + seconds["match"]
 
     payload = {
         "subcommand": "align",
@@ -271,18 +290,10 @@ def _cmd_align(args) -> int:
             "permutations": _permutation_payload(report),
         },
         "diagnostics": diagnostics,
-        "timings": {
-            "elapsed_align_seconds": varimax + pivot + match,
-            "read_seconds": read,
-            "varimax_seconds": varimax,
-            "pivot_seconds": pivot,
-            "match_seconds": match,
-            "write_chain_seconds": write,
-            "diagnostics_seconds": diagnose,
-        },
+        "timings": timings,
     }
     chainio.write_report(report_path, payload)
-    print(f"wrote {args.out}.json/.bin and {report_path}")
+    print(f"wrote {chain_files[0]}/.bin and {report_path}")
     return 0
 
 
@@ -318,7 +329,7 @@ def _cmd_diagnose(args) -> int:
         payload["traces_file"] = traces_path
 
     chainio.write_report(report_path, payload)
-    print(f"wrote {report_path}")
+    print(f"wrote {report_path}" + (f" and {traces_path}" if entries is not None else ""))
     return 0
 
 
@@ -362,15 +373,7 @@ def _cmd_oracle_check(args) -> int:
             seconds[name].append(time.perf_counter() - start)
             losses[name].append(match_loss(sample, matched, pivot))
 
-    if sum(unstable):
-        logger.warning(
-            "greedy matches of %d columns in %d of %d trials were at a distance above "
-            "%.0f%% of the largest pivot column norm; those matches may be unstable",
-            sum(unstable),
-            sum(n > 0 for n in unstable),
-            args.trials,
-            100 * UNSTABLE_DISTANCE_FRACTION,
-        )
+    _warn_unstable_matches(unstable, "trials")
     greedy_equal = sum(
         1
         for gl, el in zip(losses["greedy"], losses["exact"])
@@ -428,17 +431,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # basename is empty for "" and for a path ending in a separator.
+        if args.out is not None and not os.path.basename(args.out):
+            raise ValueError(f"--out {args.out!r} must end in a file name or prefix")
         return _HANDLERS[args.subcommand](args)
-    except chainio.FileFormatError as exc:
+    except (chainio.FileFormatError, NumericalError, ValueError, OSError) as exc:
+        # Readers report their OSErrors as FileFormatError, so the others come from writing.
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, OSError) as exc:
-        # Readers report their OSErrors as FileFormatError, so these come from writing.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, chainio.FileFormatError):
+            return 3
+        return 4 if isinstance(exc, NumericalError) else 2
 
 
 def console() -> None:

@@ -45,6 +45,11 @@ def validate_identifiability(p: int, k: int) -> bool:
     return 2 * k <= p - 1
 
 
+def _check_identifiable(p: int, k: int) -> None:
+    if not validate_identifiability(p, k):
+        raise ValueError(f"k={k} with p={p} violates the identifiability rule k <= (p-1)/2")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     n: int
@@ -57,12 +62,7 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.k < 1 or self.p < 1:
-            raise ValueError(f"p and k must be >= 1, got p={self.p}, k={self.k}")
-        if not validate_identifiability(self.p, self.k):
-            raise ValueError(
-                f"k={self.k} with p={self.p} violates the identifiability rule k <= (p-1)/2"
-            )
+        _check_identifiable(self.p, self.k)
         if not (math.isfinite(self.off_block_sd) and self.off_block_sd > 0):
             raise ValueError(f"off_block_sd must be finite and > 0, got {self.off_block_sd}")
 
@@ -110,16 +110,35 @@ def _draw_inverse_gamma(rng: np.random.Generator, shape: float, rate, size=None)
     return np.asarray(rate) / rng.gamma(shape, 1.0, size=size)
 
 
-def _finish_dataset(
-    rng: np.random.Generator, cfg: GeneratorConfig, loadings: np.ndarray
-) -> SyntheticDataset:
-    # Draw order after the loadings is fixed: residual variances, factors, noise.
+def block_sizes(p: int, k: int) -> list[int]:
+    """Contiguous near-equal block sizes: ceil(p/k) for the first p mod k blocks."""
+    base, remainder = divmod(p, k)
+    return [base + 1 if b < remainder else base for b in range(k)]
+
+
+def generate_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
+    """Draw a dataset of ``cfg``'s scenario from one generator seeded by ``cfg.seed``.
+
+    The loadings come first.  INDEPENDENT draws every loading iid standard
+    normal.  SPARSE splits the variables into k contiguous blocks, each
+    loading mainly on one factor: within-block loadings on the block's factor
+    are standard normal and every other loading is N(0, off_block_sd^2).  The
+    residual variances, factors and noise follow, in that order.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.scenario is Scenario.SPARSE:
+        loadings = cfg.off_block_sd * rng.standard_normal((cfg.p, cfg.k))
+        start = 0
+        for factor, size in enumerate(block_sizes(cfg.p, cfg.k)):
+            loadings[start : start + size, factor] = rng.standard_normal(size)
+            start += size
+    else:
+        loadings = rng.standard_normal((cfg.p, cfg.k))
     variances = _draw_inverse_gamma(rng, 0.5, 0.5, size=cfg.p)
     factors = rng.standard_normal((cfg.n, cfg.k))
     noise = rng.standard_normal((cfg.n, cfg.p)) * np.sqrt(variances)
-    data = factors @ loadings.T + noise
     return SyntheticDataset(
-        X=data,
+        X=factors @ loadings.T + noise,
         true_loadings=loadings,
         true_residual_variances=variances,
         true_factors=factors,
@@ -127,41 +146,17 @@ def _finish_dataset(
 
 
 def generate_independent(cfg: GeneratorConfig) -> SyntheticDataset:
-    """Every loading drawn iid standard normal."""
+    """:func:`generate_dataset` for an INDEPENDENT config: every loading iid standard normal."""
     if cfg.scenario is not Scenario.INDEPENDENT:
         raise ValueError("config scenario must be INDEPENDENT")
-    rng = np.random.default_rng(cfg.seed)
-    loadings = rng.standard_normal((cfg.p, cfg.k))
-    return _finish_dataset(rng, cfg, loadings)
-
-
-def block_sizes(p: int, k: int) -> list[int]:
-    """Contiguous near-equal block sizes: ceil(p/k) for the first p mod k blocks."""
-    base, remainder = divmod(p, k)
-    return [base + 1 if b < remainder else base for b in range(k)]
+    return generate_dataset(cfg)
 
 
 def generate_sparse(cfg: GeneratorConfig) -> SyntheticDataset:
-    """Variables split into k contiguous blocks, each loading mainly on one factor.
-
-    Within-block loadings on the block's factor are standard normal; every
-    other loading is N(0, off_block_sd^2).
-    """
+    """:func:`generate_dataset` for a SPARSE config: block loadings, one main factor per block."""
     if cfg.scenario is not Scenario.SPARSE:
         raise ValueError("config scenario must be SPARSE")
-    rng = np.random.default_rng(cfg.seed)
-    loadings = cfg.off_block_sd * rng.standard_normal((cfg.p, cfg.k))
-    start = 0
-    for factor, size in enumerate(block_sizes(cfg.p, cfg.k)):
-        loadings[start : start + size, factor] = rng.standard_normal(size)
-        start += size
-    return _finish_dataset(rng, cfg, loadings)
-
-
-def generate_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
-    if cfg.scenario is Scenario.SPARSE:
-        return generate_sparse(cfg)
-    return generate_independent(cfg)
+    return generate_dataset(cfg)
 
 
 def center_columns(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,16 +186,12 @@ def _cholesky(precision: np.ndarray, what: str, iteration: int) -> np.ndarray:
 
 
 def _lowest_failing_row(stack: np.ndarray) -> int:
-    """Index of the first matrix in a stack that Cholesky rejects, by bisecting over prefixes."""
-    lo, hi = 0, len(stack) - 1  # the stack fails as a whole, so some row in [lo, hi] fails
-    while lo < hi:
-        mid = (lo + hi) // 2
+    """Index of the first matrix in a stack that Cholesky rejects, scanning row by row."""
+    for row, matrix in enumerate(stack):
         try:
-            np.linalg.cholesky(stack[lo : mid + 1])
-            lo = mid + 1
+            np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError:
-            hi = mid
-    return lo
+            return row
 
 
 def _loading_rows(gram, projections, variances, prior_precision, z, iteration) -> np.ndarray:
@@ -277,8 +268,7 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
     if not np.all(np.isfinite(data)):
         raise ValueError("data contains non-finite entries")
     n, p = data.shape
-    if not validate_identifiability(p, k):
-        raise ValueError(f"k={k} with p={p} violates the identifiability rule k <= (p-1)/2")
+    _check_identifiable(p, k)
 
     centered, means = center_columns(data)
     logger.debug("centered %d columns; mean magnitudes up to %.3g", p, np.max(np.abs(means)))

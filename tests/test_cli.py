@@ -484,6 +484,106 @@ def test_output_path_that_is_a_directory_exits_2_before_any_work(
     assert _tree(tmp_path) == before
 
 
+def test_fit_out_cannot_overwrite_its_dataset(tmp_path, monkeypatch, capsys):
+    # The chain manifest <out>.json once replaced a dataset named d.json.
+    data = simulate_small(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.json").write_bytes(Path(f"{data}.csv").read_bytes())
+    capsys.readouterr()
+    before = _tree(tmp_path)
+    assert run(["fit", "d.json", "--k", 3, "--iterations", 30, "--burn-in", 10, "--out", "d"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "would overwrite the dataset" in err, err
+    assert _tree(tmp_path) == before
+
+
+def _named_files(stdout: str) -> set[str]:
+    """The files a command's ``wrote`` line names, ``<name>.json/.bin`` naming two.
+
+    ``fit``'s line ends in `` with T=<draws>``, which names no file.
+    """
+    (line,) = stdout.splitlines()
+    assert line.startswith("wrote "), line
+    named = set()
+    for name in line.removeprefix("wrote ").split(" with ")[0].split(" and "):
+        if name.endswith(".json/.bin"):
+            named |= {name.removesuffix("/.bin"), name.removesuffix(".json/.bin") + ".bin"}
+        else:
+            named.add(name)
+    return named
+
+
+_PREFIX_ARGV = {
+    "simulate": ["simulate", "--n", 30, "--p", 7, "--k", 2, "--scenario", "sparse"],
+    "fit": ["fit", "{data}.csv", "--k", 3, "--iterations", 12, "--burn-in", 2],
+    "align": ["align", "{chain}"],
+    "diagnose": ["diagnose", "--raw", "{chain}", "--traces", "0,0"],
+}
+
+
+@pytest.mark.parametrize("prefix", ["data.v1", "run.2024.10", "x.json", "sub/"])
+@pytest.mark.parametrize("command", list(_PREFIX_ARGV))
+def test_out_prefix_names_exactly_the_files_written(tmp_path, monkeypatch, capsys, command, prefix):
+    # A dotted prefix once lost its last dotted part to Path.with_suffix:
+    # fit --out chain.v1 wrote chain.json, and sub/ wrote sub.json.
+    data = simulate_small(tmp_path / "in")
+    chain = fit_small(tmp_path / "in", data)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    capsys.readouterr()
+    argv = [str(arg).format(data=data, chain=chain) for arg in _PREFIX_ARGV[command]]
+    code = run(argv + ["--out", prefix])
+    out, err = capsys.readouterr()
+    written = {str(path.relative_to(work)) for path in work.rglob("*")}
+    if prefix.endswith("/"):
+        assert code == 2 and err.startswith("error: --out") and written == set(), err
+        return
+    assert code == 0, err
+    assert written == _named_files(out)
+    if command in ("fit", "align"):
+        stem = prefix.removesuffix(".json")
+        assert {f"{stem}.json", f"{stem}.bin"} <= written
+
+
+def test_dotted_chain_prefixes_do_not_collide(tmp_path, monkeypatch):
+    data = simulate_small(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for name, iterations in (("chain.v1", 30), ("chain.v2", 20)):
+        argv = ["fit", f"{data}.csv", "--k", 3, "--iterations", iterations, "--burn-in", 10]
+        assert run(argv + ["--out", name]) == 0
+    assert read_chain("chain.v1")[1].T == 20
+    assert read_chain("chain.v2")[1].T == 10
+    assert run(["align", "chain.v1", "--out", "aligned.v1"]) == 0
+    assert read_chain("aligned.v1")[1].T == 20
+
+
+def test_manifests_record_the_parsed_options(tmp_path):
+    # fit once left out the --prior-* options and simulate --off-block-sd,
+    # and align recorded only its input.  Each recorded command, run again,
+    # reproduces the payload.
+    data = tmp_path / "data"
+    simulate = ["simulate", "--n", 40, "--p", 9, "--k", 3, "--scenario", "sparse"]
+    assert run(simulate + ["--off-block-sd", 0.05, "--out", data]) == 0
+    fit = ["fit", f"{data}.csv", "--k", 3, "--iterations", 30, "--burn-in", 10]
+    assert run(fit + ["--prior-loading-variance", 0.02, "--out", tmp_path / "c"]) == 0
+    for threads in (1, 2):
+        argv = ["align", tmp_path / "c", "--kaiser-normalize", "--threads", threads]
+        assert run(argv + ["--out", tmp_path / f"a{threads}"]) == 0
+    assert (tmp_path / "a1.json").read_bytes() == (tmp_path / "a2.json").read_bytes()
+
+    recorded = {
+        "data_truth": ("--off-block-sd 0.05", "again_truth.bin"),
+        "c": ("--prior-loading-variance 0.02", "again.bin"),
+        "a1": ("--kaiser-normalize", "again.bin"),
+    }
+    for base, (option, payload) in recorded.items():
+        provenance = read_chain(tmp_path / base)[1].seed_provenance
+        assert option in provenance, provenance
+        assert run(provenance.split() + ["--out", tmp_path / "again"]) == 0
+        assert (tmp_path / payload).read_bytes() == (tmp_path / f"{base}.bin").read_bytes()
+
+
 def test_write_failure_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
     # The target passes every check and the write itself fails.
     def refuse(source, target):
