@@ -165,65 +165,62 @@ def center_columns(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return data - means, means
 
 
-def _cholesky(precision: np.ndarray, what: str, iteration: int) -> np.ndarray:
-    """Lower Cholesky factor of a (k, k) precision, or of every matrix in a (p, k, k) stack.
+def _factor_rows(centered, loadings, variances, z, iteration) -> np.ndarray:
+    """The factor draw given the loadings: row i is P^{-1} b_i + P^{-1/2} z_i.
 
-    ``np.linalg.cholesky`` returns NaN for non-finite input instead of
-    raising, so finiteness is checked first.  Either failure raises
-    NumericalError naming the iteration and, for a stack, the lowest failing
-    row.
+    All n rows share the precision P = I + L^T Sigma^{-1} L, and b_i is
+    L^T Sigma^{-1} x_i, with x_i row i of ``centered`` and z_i row i of the
+    standard normal ``z``.  One eigendecomposition P = U diag(d) U^T gives
+    both S = U diag(sqrt(d)) U^T and P^{-1} = U diag(1 / d) U^T, and the
+    draw is (X Sigma^{-1} L + Z S) P^{-1}: two (n, k) @ (k, k) products.
     """
-    where = f"{what} precision at iteration {iteration}"
-    if not np.isfinite(precision).all():
-        finite = np.isfinite(precision).all(axis=(-2, -1))
-        row = f", row {np.argmin(finite)}" if precision.ndim == 3 else ""
-        raise NumericalError(f"{where}{row} is not finite")
-    try:
-        return np.linalg.cholesky(precision)
-    except np.linalg.LinAlgError as exc:
-        row = f", row {_lowest_failing_row(precision)}" if precision.ndim == 3 else ""
-        raise NumericalError(f"{where}{row} is not positive definite") from exc
-
-
-def _lowest_failing_row(stack: np.ndarray) -> int:
-    """Index of the first matrix in a stack that Cholesky rejects, scanning row by row."""
-    for row, matrix in enumerate(stack):
-        try:
-            np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            return row
+    weighted = loadings / variances[:, None]
+    gram = loadings.T @ weighted
+    if not np.isfinite(gram).all():
+        raise NumericalError(f"factor-update precision at iteration {iteration} is not finite")
+    eigenvalues, basis = np.linalg.eigh(gram)
+    # The Gram part is positive semi-definite, so only rounding takes its
+    # eigenvalues below 0, and every d is at least 1.
+    d = 1.0 + np.maximum(eigenvalues, 0.0)
+    factors = centered @ weighted
+    factors += z @ ((basis * np.sqrt(d)) @ basis.T)
+    return factors @ ((basis / d) @ basis.T)
 
 
 def _loading_rows(gram, projections, variances, prior_precision, z, iteration) -> np.ndarray:
-    """The loading draw given the factors: row j is C_j^{-T}(C_j^{-1} b_j + z_j).
+    """The loading draw given the factors: row j is Q_j^{-1} b_j + Q_j^{-1/2} z_j.
 
-    C_j is the lower Cholesky factor of Q_j = I / c0 + G / sigma_j, where
-    ``prior_precision`` is I / c0 and G = F^T F is ``gram``; b_j is
-    F^T x_j / sigma_j, with F^T x_j row j of ``projections``, and z_j is row j
-    of the standard normal ``z``.  The draw equals Q_j^{-1}(b_j + C_j z_j),
-    and every Q_j has G's eigenvectors V, so
-    Q_j^{-1} = V diag(1 / (1/c0 + lambda / sigma_j)) V^T: one k x k
-    eigendecomposition and no per-row solve.  The Cholesky factors come from
-    one stacked call, whose checks name a failing row.
+    Q_j = I / c0 + G / sigma_j, where ``prior_precision`` is I / c0 and
+    G = F^T F is ``gram``; b_j is F^T x_j / sigma_j, with F^T x_j row j of
+    ``projections``, and z_j is row j of the standard normal ``z``.  Every
+    Q_j has G's eigenvectors V, with eigenvalues prec_j = 1/c0 + lambda / sigma_j,
+    so row j is ((b_j V) / prec_j + (z_j V) / sqrt(prec_j)) V^T: one k x k
+    eigendecomposition, and no per-row solve or factorization.  Q_j^{-1/2} is
+    the symmetric inverse square root, which does not depend on the basis.
     """
-    row_chol = _cholesky(
-        prior_precision + gram / variances[:, None, None], "loading-row", iteration
-    )
-    rhs = (row_chol @ z[:, :, None])[:, :, 0] + projections / variances[:, None]
+    where = f"loading-row precision at iteration {iteration}"
+    # eigh cannot take non-finite input; a non-finite G spoils every row.
+    if not np.isfinite(gram).all():
+        raise NumericalError(f"{where}, row 0 is not finite")
     eigenvalues, basis = np.linalg.eigh(gram)
     # Row j holds Q_j's eigenvalues; the prior is isotropic, so its diagonal
     # is its eigenvalues in any basis.  G is a Gram matrix, so only rounding
-    # takes its eigenvalues below 0.
+    # takes its eigenvalues below 0, and every precision is at least 1/c0.
     precisions = prior_precision.diagonal() + np.maximum(eigenvalues, 0.0) / variances[:, None]
-    # Row j of rhs is Q_j l_j, at most max(precisions_j) |l_j| long.  Both
-    # terms of the quotient are scaled by 2^-e <= 1, with 2^e the power of two
-    # just above the largest precision, so rhs V stays finite unless l
-    # overflows; the scaling is exact and leaves the quotient unchanged.  An
-    # infinite F^T x_j still gives a NaN row, silently as a LAPACK solve does,
-    # and step (c) reports it.
+    finite = np.isfinite(precisions).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"{where}, row {np.argmin(finite)} is not finite")
+    # b_j is Q_j times row j's conditional mean, at most max(precisions_j)
+    # times as long.  Both terms of the quotient are scaled by 2^-e <= 1, with
+    # 2^e the power of two just above the largest precision, so b V stays
+    # finite unless the mean overflows; the scaling is exact and leaves the
+    # quotient unchanged.  An infinite F^T x_j still gives a NaN row, silently
+    # as a LAPACK solve does, and step (c) reports it.
     scale = math.ldexp(1.0, -max(math.frexp(precisions.max())[1], 0))
     with np.errstate(over="ignore", invalid="ignore"):
-        return ((rhs @ (basis * scale)) / (precisions * scale)) @ basis.T
+        coordinates = ((projections / variances[:, None]) @ (basis * scale)) / (precisions * scale)
+        coordinates += (z @ basis) / np.sqrt(precisions)
+        return coordinates @ basis.T
 
 
 def _residual_rates(prior_rate, column_squares, projections, loadings, gram) -> np.ndarray:
@@ -250,17 +247,18 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
 
     Per iteration: (a) factors given loadings and variances, (b) all loading
     rows at once given factors and variances, then (c) residual variances.
-    Step (b) takes one stacked Cholesky factorization of the p row
-    precisions and applies their inverses through F^T F's eigenbasis, one
-    k x k eigendecomposition, with no per-row solve.  Step (c) reads its
-    residual sums of squares from sufficient statistics: the column sums of
-    squares, computed once, and step (b)'s F^T F and F^T x_j, so no (n, p)
-    residual is formed and the per-iteration cost is dominated by the two
-    (n, k) products with the data and the (n, k) normal draw.  Columns of
-    ``data`` are centered internally.  The chain carries the
-    residual-variance draws.  A non-finite or non-positive-definite
-    posterior precision, or a non-finite residual-variance rate, raises
-    NumericalError naming the iteration (and, for a loading row, the row).
+    Steps (a) and (b) each draw Q^{-1} b + Q^{-1/2} z from one k x k
+    eigendecomposition: step (a) of the factor precision shared by all n
+    rows, step (b) of F^T F, whose eigenvectors every loading-row precision
+    shares; neither takes a triangular factor, an inverse or a per-row solve.
+    Step (c) reads its residual sums of squares from sufficient statistics:
+    the column sums of squares, computed once, and step (b)'s F^T F and
+    F^T x_j, so no (n, p) residual is formed and the per-iteration cost is
+    dominated by the two (n, k) products with the data and the (n, k) normal
+    draw.  Columns of ``data`` are centered internally.  The chain carries
+    the residual-variance draws.  A non-finite posterior precision or
+    residual-variance rate raises NumericalError naming the iteration (and,
+    for a loading row, the row).
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -277,8 +275,7 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
     rng = np.random.default_rng(cfg.seed)
     loadings = rng.standard_normal((p, k))
     variances = np.ones(p)
-    eye_k = np.eye(k)
-    prior_precision = eye_k / cfg.prior_loading_variance
+    prior_precision = np.eye(k) / cfg.prior_loading_variance
     shape_post = cfg.prior_residual_shape + 0.5 * n
 
     kept = cfg.iterations - cfg.burn_in
@@ -286,16 +283,10 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
     variance_draws = np.empty((kept, p))
 
     for iteration in range(cfg.iterations):
-        # (a) factors | loadings, variances.  Row i is C^{-T}(C^{-1} b_i + z_i)
-        # with C C^T = I + Lambda^T Sigma^{-1} Lambda; for n rows, products
-        # with C^{-1} are cheaper than LU solves.
-        weighted = loadings / variances[:, None]
-        chol = _cholesky(eye_k + loadings.T @ weighted, "factor-update", iteration)
-        chol_inv = np.linalg.inv(chol)
-        # The draw is added in place, so no third (n, k) array is live.
-        factors = (centered @ weighted) @ chol_inv.T
-        factors += rng.standard_normal((n, k))
-        factors = factors @ chol_inv
+        # (a) factors | loadings, variances, all n rows at once.
+        factors = _factor_rows(
+            centered, loadings, variances, rng.standard_normal((n, k)), iteration
+        )
 
         # (b) loadings | factors, variances, all p rows at once.
         gram = factors.T @ factors

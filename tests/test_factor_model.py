@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, eigh
 
 from factoralign import (
     Chain,
@@ -18,8 +18,8 @@ from factoralign import (
     validate_identifiability,
 )
 from factoralign.factor_model import (
-    _cholesky,
     _draw_inverse_gamma,
+    _factor_rows,
     _loading_rows,
     _residual_rates,
     block_sizes,
@@ -27,12 +27,19 @@ from factoralign.factor_model import (
 )
 
 
+def inverse_root(precision: np.ndarray) -> np.ndarray:
+    """The symmetric inverse square root Q^{-1/2}, from scipy's eigendecomposition of Q."""
+    eigenvalues, basis = eigh(precision)
+    return (basis / np.sqrt(eigenvalues)) @ basis.T
+
+
 def loop_gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
     """Reference sampler: the loadings drawn one row at a time with scipy.
 
-    Same conditionals and random stream as ``gibbs_sample``; only the
-    factorizations and solves are per row, so the two chains differ by
-    rounding alone.
+    Same conditionals, square roots and random stream as ``gibbs_sample``;
+    only the factorizations and solves are per row, so the two chains differ
+    by rounding alone.  Each draw is Q^{-1} b + Q^{-1/2} z, the mean from a
+    Cholesky solve and Q^{-1/2} from Q's own eigendecomposition.
     """
     centered, _ = center_columns(np.asarray(data, dtype=np.float64))
     n, p = centered.shape
@@ -44,19 +51,18 @@ def loop_gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
     loadings_draws, variance_draws = [], []
     for iteration in range(cfg.iterations):
         weighted = loadings / variances[:, None]
-        chol = cholesky(np.eye(k) + loadings.T @ weighted, lower=True)
-        mean = cho_solve((chol, True), (centered @ weighted).T).T
-        z = rng.standard_normal((n, k))
-        factors = mean + solve_triangular(chol.T, z.T, lower=False).T
+        precision = np.eye(k) + loadings.T @ weighted
+        mean = cho_solve((cholesky(precision, lower=True), True), (centered @ weighted).T).T
+        factors = mean + rng.standard_normal((n, k)) @ inverse_root(precision)
 
         gram = factors.T @ factors
         projections = factors.T @ centered
         for j in range(p):
-            row_chol = cholesky(prior_precision + gram / variances[j], lower=True)
-            row_mean = cho_solve((row_chol, True), projections[:, j] / variances[j])
-            loadings[j] = row_mean + solve_triangular(
-                row_chol.T, rng.standard_normal(k), lower=False
+            row_precision = prior_precision + gram / variances[j]
+            row_mean = cho_solve(
+                (cholesky(row_precision, lower=True), True), projections[:, j] / variances[j]
             )
+            loadings[j] = row_mean + inverse_root(row_precision) @ rng.standard_normal(k)
 
         residuals = centered - factors @ loadings.T
         rates = cfg.prior_residual_rate + 0.5 * np.sum(residuals * residuals, axis=0)
@@ -243,13 +249,16 @@ def test_gibbs_overflow_raises_numerical_error(scale, message):
 @pytest.mark.parametrize("k", [1, 2, 5, 8])
 @pytest.mark.parametrize("prior_variance", [1e-3, 1.0, 1e3])
 def test_loading_rows_equal_per_row_solves(k, prior_variance):
-    # The eigenbasis draw Q_j^{-1}(b_j + C_j z_j) against the per-row
-    # C_j^{-T}(C_j^{-1} b_j + z_j) from two LU solves, with sigma_j from 1e-8
-    # to 1e8 and factor columns from orthogonal-ish to nearly collinear
-    # (cond(F^T F) up to about 1e12).  Both are backward stable, so row j
-    # differs by at most 4 k eps cond(Q_j) ||Q_j^{-1}|| (||b_j|| + ||C_j|| ||z_j||),
-    # the size of the larger term, not of a sum that may cancel; in 300 random
-    # states of this kind the worst row used 0.57 of it.
+    # The eigenbasis draw against the per-row Q_j^{-1} b_j + Q_j^{-1/2} z_j, the
+    # mean from an LU solve and Q_j^{-1/2} from numpy's eigendecomposition of
+    # Q_j, with sigma_j from 1e-8 to 1e8 and factor columns from orthogonal-ish
+    # to nearly collinear (cond(F^T F) up to about 1e12).  Both are backward
+    # stable, and Q^{-1/2} moves by at most |dQ| / (2 low^{3/2}) when Q does,
+    # so row j differs by at most 4 k eps cond(Q_j) (||Q_j^{-1}|| ||b_j|| +
+    # ||Q_j^{-1/2}|| ||z_j||), the size of the larger term, not of a sum that
+    # may cancel; in 300 random states of this kind the worst row used 0.67
+    # of it.  (scipy's default eigh driver, LAPACK's syevr, is less accurate
+    # on these spectra: its reference missed the bound by up to 45 times.)
     rng = np.random.default_rng(k)
     n, p = 60, 17
     variances = np.logspace(-8, 8, p)
@@ -263,11 +272,11 @@ def test_loading_rows_equal_per_row_solves(k, prior_variance):
         drawn = _loading_rows(gram, projections, variances, np.eye(k) / prior_variance, z, 0)
         for j in range(p):
             precision = np.eye(k) / prior_variance + gram / variances[j]
-            chol = np.linalg.cholesky(precision)
             b = projections[j] / variances[j]
-            expected = np.linalg.solve(chol.T, np.linalg.solve(chol, b) + z[j])
-            low, high = np.linalg.eigvalsh(precision)[[0, -1]]
-            size = (np.linalg.norm(b) + np.sqrt(high) * np.linalg.norm(z[j])) / low
+            eigenvalues, basis = np.linalg.eigh(precision)
+            expected = np.linalg.solve(precision, b) + (basis / np.sqrt(eigenvalues)) @ basis.T @ z[j]
+            low, high = eigenvalues[[0, -1]]
+            size = np.linalg.norm(b) / low + np.linalg.norm(z[j]) / np.sqrt(low)
             bound = 4 * k * np.finfo(float).eps * (high / low) * size
             assert np.linalg.norm(drawn[j] - expected) <= bound, (spread, j)
 
@@ -317,7 +326,7 @@ def test_residual_rates_equal_direct_sums_of_squares(seed):
 
 def test_gibbs_holds_no_per_iteration_residual_array():
     # Residual sums come from sufficient statistics, so beyond the centred
-    # copy and the chain the sampler holds only (n, k) and (p, k, k) arrays.
+    # copy and the chain the sampler holds only (n, k), (p, k) and (k, k) arrays.
     n, p, k, iterations = 500, 50, 5, 50
     ds = generate_sparse(GeneratorConfig(n=n, p=p, k=k, scenario=Scenario.SPARSE, seed=6))
     centered_bytes = 8 * n * p
@@ -332,15 +341,24 @@ def test_gibbs_holds_no_per_iteration_residual_array():
     assert peak < centered_bytes + chain_bytes + centered_bytes / 2, peak
 
 
-def test_lowest_failing_row_is_named():
+def test_non_finite_precision_is_named():
+    # Every precision is a prior term plus a clamped Gram, so it can fail only
+    # by being non-finite.  A subnormal sigma_j overflows G / sigma_j, and the
+    # first such row is named; the last row is bad too.
+    gram = np.array([[2.0, 1.0], [1.0, 2.0]])
     for bad in (0, 4, 8):
-        broken = np.tile(np.eye(2), (9, 1, 1))
-        broken[bad] = -np.eye(2)
-        broken[-1] = -np.eye(2)
-        with pytest.raises(NumericalError, match=rf"iteration 3, row {bad} is not positive definite"):
-            _cholesky(broken, "loading-row", 3)
-    with pytest.raises(NumericalError, match=r"iteration 3 is not positive definite"):
-        _cholesky(-np.eye(2), "factor-update", 3)
+        variances = np.ones(9)
+        variances[[bad, -1]] = 5e-324
+        with (
+            pytest.raises(NumericalError, match=rf"^loading-row precision at iteration 3, row {bad} is not finite$"),
+            np.errstate(over="ignore"),
+        ):
+            _loading_rows(gram, np.ones((9, 2)), variances, np.eye(2), np.zeros((9, 2)), 3)
+    with (
+        pytest.raises(NumericalError, match=r"^factor-update precision at iteration 3 is not finite$"),
+        np.errstate(over="ignore", invalid="ignore"),
+    ):
+        _factor_rows(np.ones((5, 9)), np.ones((9, 2)), variances, np.zeros((5, 2)), 3)
 
 
 def test_gibbs_output_shapes_and_positivity():
@@ -379,11 +397,23 @@ def test_gibbs_posterior_tracks_sample_covariance():
     assert frobenius_norm(fitted - empirical) <= 0.15 * frobenius_norm(empirical)
 
 
+def assert_zero_mean_with_covariance(residuals, cov):
+    """Mean 0 and covariance ``cov`` within five standard errors, entry by entry."""
+    n = len(residuals)
+    variances = np.diag(cov)
+    assert np.all(np.abs(residuals.mean(axis=0)) <= 5.0 * np.sqrt(variances / n))
+    emp_cov = (residuals.T @ residuals) / n
+    se = np.sqrt((np.outer(variances, variances) + cov**2) / n)
+    assert np.all(np.abs(emp_cov - cov) <= 5.0 * se), (emp_cov, cov)
+
+
 def test_gibbs_factor_draw_distribution():
-    # With loadings fixed at truth, one conditional factor draw per replicate
-    # must match the stated Gaussian within Monte Carlo error.
+    # With loadings fixed at truth, the package's conditional factor draw,
+    # one per data row, must match the stated Gaussian within Monte Carlo error.
+    # k = 3: a 2 x 2 eigenbasis can come back symmetric, and a draw that
+    # swapped V and V^T would then pass.
     rng = np.random.default_rng(60)
-    p, k, n = 6, 2, 4000
+    p, k, n = 6, 3, 4000
     loadings = rng.standard_normal((p, k))
     variances = rng.uniform(0.5, 1.5, size=p)
     factors = rng.standard_normal((n, k))
@@ -393,15 +423,34 @@ def test_gibbs_factor_draw_distribution():
     cov = np.linalg.inv(precision)
     mean = data @ (loadings / variances[:, None]) @ cov.T
 
-    chol = np.linalg.cholesky(precision)
-    z = rng.standard_normal((n, k))
-    draws = mean + np.linalg.solve(chol.T, z.T).T
+    draws = _factor_rows(data, loadings, variances, rng.standard_normal((n, k)), 0)
+    assert_zero_mean_with_covariance(draws - mean, cov)
 
-    centered = draws - mean
-    emp_cov = (centered.T @ centered) / n
-    se = 3.0 * np.sqrt(2.0 / n)
-    assert np.abs(emp_cov - cov).max() <= se * max(1.0, np.abs(cov).max())
-    assert np.abs(centered.mean(axis=0)).max() <= 3.0 * np.sqrt(cov.max() / n)
+
+def test_loading_row_draw_distribution():
+    # 20000 draws of one loading row must have mean Q^{-1} b and covariance
+    # Q^{-1} within Monte Carlo error.  G's eigenvalues are spread apart and
+    # its eigenvectors are not symmetric, so a draw taken in the wrong basis
+    # moves both moments.
+    rng = np.random.default_rng(62)
+    k, draws = 3, 20_000
+    factors = rng.standard_normal((12, k)) * [0.5, 1.0, 3.0]
+    gram = factors.T @ factors
+    basis = np.linalg.eigh(gram)[1]
+    assert not np.allclose(basis, basis.T)
+    variance, projection = 2.0, rng.standard_normal(k) * 5.0
+    precision = np.eye(k) + gram / variance
+    cov = np.linalg.inv(precision)
+
+    drawn = _loading_rows(
+        gram,
+        np.tile(projection, (draws, 1)),
+        np.full(draws, variance),
+        np.eye(k),
+        rng.standard_normal((draws, k)),
+        0,
+    )
+    assert_zero_mean_with_covariance(drawn - cov @ (projection / variance), cov)
 
 
 def test_gibbs_sparse_chain_exhibits_sign_switching():
