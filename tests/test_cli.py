@@ -125,10 +125,27 @@ def test_fit_overflowing_data_exits_4_naming_the_iteration(tmp_path, capsys):
 
     data = simulate_small(tmp_path, n=30, p=7, k=2)
     write_dataset(tmp_path / "huge.csv", read_dataset(f"{data}.csv") * 1e200)
-    with np.errstate(over="ignore"):
-        code = run(["fit", tmp_path / "huge.csv", "--k", 2, "--iterations", 5, "--burn-in", 1, "--out", tmp_path / "c"])
+    code = run(["fit", tmp_path / "huge.csv", "--k", 2, "--iterations", 5, "--burn-in", 1, "--out", tmp_path / "c"])
     assert code == 4
     assert "iteration 0" in capsys.readouterr().err
+
+
+def test_fit_overflow_prints_only_the_error_line(tmp_path):
+    # In a fresh interpreter, where numpy's warnings reach stderr: the
+    # overflow in F^T F once printed three RuntimeWarnings with their source
+    # lines before the error line.
+    from factoralign import write_dataset
+
+    data = simulate_small(tmp_path, n=300, p=20, k=3)
+    write_dataset(tmp_path / "huge.csv", read_dataset(f"{data}.csv") * 1e200)
+    src = str(Path(factoralign.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "factoralign", "fit", str(tmp_path / "huge.csv"), "--k", "3",
+         "--iterations", "5", "--burn-in", "1", "--out", str(tmp_path / "c")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 4
+    assert done.stderr == "error: loading-row precision at iteration 0, row 0 is not finite\n"
 
 
 def test_align_produces_chain_and_report(tmp_path):

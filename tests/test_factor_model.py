@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky, eigh
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky, eigh, solve_triangular
 
 from factoralign import (
     Chain,
@@ -17,13 +19,14 @@ from factoralign import (
     gibbs_sample,
     validate_identifiability,
 )
+from factoralign import factor_model
 from factoralign.factor_model import (
+    _centered_r_factor,
     _draw_inverse_gamma,
     _factor_rows,
     _loading_rows,
     _residual_rates,
     block_sizes,
-    center_columns,
 )
 
 
@@ -34,26 +37,45 @@ def inverse_root(precision: np.ndarray) -> np.ndarray:
 
 
 def loop_gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
-    """Reference sampler: the loadings drawn one row at a time with scipy.
+    """Reference sampler on the full data, the loadings drawn one row at a time with scipy.
 
-    Same conditionals, square roots and random stream as ``gibbs_sample``;
-    only the factorizations and solves are per row, so the two chains differ
-    by rounding alone.  Each draw is Q^{-1} b + Q^{-1/2} z, the mean from a
-    Cholesky solve and Q^{-1/2} from Q's own eigendecomposition.
+    Same conditionals, square roots and random stream as ``gibbs_sample``,
+    but the factor step runs on all n centred rows X, with the n x k noise
+    Z = Q_full z built from the sampler's draws z = [G; T]: Q_full is
+    Q = X R^{-1}, from the sampler's R, followed by as many columns of an
+    orthonormal completion as T has rows.  Then Z^T Z = z^T z and
+    Z^T X = G^T R, so the reduction is checked and the two chains differ by
+    rounding alone.  Each draw is Q^{-1} b + Q^{-1/2} z, the mean from a
+    Cholesky solve and Q^{-1/2} from Q's own eigendecomposition.  Needs
+    n > p, so that R is square.
     """
-    centered, _ = center_columns(np.asarray(data, dtype=np.float64))
+    data = np.asarray(data, dtype=np.float64)
+    centered = data - data.mean(axis=0)
     n, p = centered.shape
+    assert n > p
+    _, r = _centered_r_factor(data)
+    q = solve_triangular(r, centered.T, trans="T").T
+    tail = min(n - p, k)
+    q_full = np.hstack((q, np.linalg.qr(q, mode="complete")[0][:, p : p + tail]))
+    rows = p + tail
+
     rng = np.random.default_rng(cfg.seed)
     loadings = rng.standard_normal((p, k))
+    chi_squares = rng.chisquare(n - p - np.arange(tail), size=(cfg.iterations, tail))
     variances = np.ones(p)
     prior_precision = np.eye(k) / cfg.prior_loading_variance
     shape_post = cfg.prior_residual_shape + 0.5 * n
     loadings_draws, variance_draws = [], []
     for iteration in range(cfg.iterations):
+        z = rng.standard_normal((rows + p, k))
+        for i in range(tail):
+            z[p + i, :i] = 0.0
+            z[p + i, i] = np.sqrt(chi_squares[iteration, i])
+
         weighted = loadings / variances[:, None]
         precision = np.eye(k) + loadings.T @ weighted
         mean = cho_solve((cholesky(precision, lower=True), True), (centered @ weighted).T).T
-        factors = mean + rng.standard_normal((n, k)) @ inverse_root(precision)
+        factors = mean + (q_full @ z[:rows]) @ inverse_root(precision)
 
         gram = factors.T @ factors
         projections = factors.T @ centered
@@ -62,7 +84,7 @@ def loop_gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
             row_mean = cho_solve(
                 (cholesky(row_precision, lower=True), True), projections[:, j] / variances[j]
             )
-            loadings[j] = row_mean + inverse_root(row_precision) @ rng.standard_normal(k)
+            loadings[j] = row_mean + inverse_root(row_precision) @ z[rows + j]
 
         residuals = centered - factors @ loadings.T
         rates = cfg.prior_residual_rate + 0.5 * np.sum(residuals * residuals, axis=0)
@@ -165,12 +187,18 @@ def test_inverse_gamma_parameterization():
     assert draws.var() == pytest.approx(64.0 / (16.0 * 3.0), rel=0.05)
 
 
-def test_center_columns():
+def test_centered_r_factor_reproduces_the_centred_gram():
+    # Two and a half row blocks take three QR steps, and n = 2 < p one; R^T R
+    # is the centred gram either way.
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((20, 4)) + 3.0
-    centered, means = center_columns(x)
-    np.testing.assert_allclose(centered.mean(axis=0), np.zeros(4), atol=1e-12)
-    np.testing.assert_allclose(means, x.mean(axis=0))
+    rows = factor_model._QR_BLOCK_BYTES // (8 * 3)
+    for n in (5 * rows // 2, 2):
+        x = rng.standard_normal((n, 3)) + 3.0
+        means, r = _centered_r_factor(x)
+        centered = x - x.mean(axis=0)
+        np.testing.assert_allclose(means, x.mean(axis=0))
+        assert r.shape == (min(n, 3), 3)
+        np.testing.assert_allclose(r.T @ r, centered.T @ centered, rtol=1e-12, atol=1e-12 * n)
 
 
 def test_sampler_config_validation():
@@ -218,6 +246,7 @@ def test_gibbs_reproducible():
         (40, 6, 1, Scenario.INDEPENDENT),  # k = 1
         (60, 7, 3, Scenario.SPARSE),  # boundary p = 2k + 1
         (500, 50, 5, Scenario.SPARSE),  # the paper's shape
+        (8, 7, 3, Scenario.SPARSE),  # 0 < n - p < k: a one-row Bartlett factor
     ],
 )
 def test_gibbs_equals_per_row_loop(n, p, k, scenario):
@@ -242,7 +271,9 @@ def test_gibbs_equals_per_row_loop(n, p, k, scenario):
 )
 def test_gibbs_overflow_raises_numerical_error(scale, message):
     ds = generate_sparse(GeneratorConfig(n=30, p=7, k=2, scenario=Scenario.SPARSE, seed=5))
-    with pytest.raises(NumericalError, match=message), np.errstate(over="ignore"):
+    # No np.errstate here: the sampler silences its own overflow warnings,
+    # which tier-1 would otherwise turn into errors.
+    with pytest.raises(NumericalError, match=message):
         gibbs_sample(ds.X * scale, SamplerConfig(iterations=5, burn_in=1), k=2)
 
 
@@ -306,7 +337,8 @@ def test_residual_rates_equal_direct_sums_of_squares(seed):
     n, p, k = 200, 8, 3
     factors = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-2, 2)
     loadings = rng.standard_normal((p, k)) * 10.0 ** rng.uniform(-2, 2)
-    centered, _ = center_columns(rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2, 2, size=p))
+    centered = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2, 2, size=p)
+    centered -= centered.mean(axis=0)
     centered[:, 0] = 0.0
     centered[:, 1] = factors @ loadings[1]
     column_squares = np.vecdot(centered.T, centered.T)
@@ -325,8 +357,11 @@ def test_residual_rates_equal_direct_sums_of_squares(seed):
 
 
 def test_gibbs_holds_no_per_iteration_residual_array():
-    # Residual sums come from sufficient statistics, so beyond the centred
-    # copy and the chain the sampler holds only (n, k), (p, k) and (k, k) arrays.
+    # The R factor comes from a blockwise QR and residual sums from sufficient
+    # statistics, so the sampler holds no (n, p) array at all: beyond the
+    # chain, only R's row blocks and (p + k, p), (p, k) and (k, k) arrays.
+    # Any (n, p) array held with the chain, or while a QR factors it, breaks
+    # the bound (one np.linalg.qr of the centred copy peaks at 448,644 bytes).
     n, p, k, iterations = 500, 50, 5, 50
     ds = generate_sparse(GeneratorConfig(n=n, p=p, k=k, scenario=Scenario.SPARSE, seed=6))
     centered_bytes = 8 * n * p
@@ -338,7 +373,7 @@ def test_gibbs_holds_no_per_iteration_residual_array():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < centered_bytes + chain_bytes + centered_bytes / 2, peak
+    assert peak < chain_bytes + centered_bytes / 2, peak
 
 
 def test_non_finite_precision_is_named():
@@ -359,6 +394,70 @@ def test_non_finite_precision_is_named():
         np.errstate(over="ignore", invalid="ignore"),
     ):
         _factor_rows(np.ones((5, 9)), np.ones((9, 2)), variances, np.zeros((5, 2)), 3)
+
+
+@pytest.mark.parametrize(
+    ("n", "p"),
+    [
+        (40, 7),  # n > p + k: a full k x k Bartlett factor
+        (9, 7),  # 0 < n - p < k: a two-row Bartlett factor
+        (5, 7),  # n <= p: no Bartlett rows
+    ],
+)
+def test_reduced_draw_has_the_full_data_moments(monkeypatch, n, p):
+    # With L and Sigma held fixed, the full-data draw F = (X W + Z S) P^{-1},
+    # W = Sigma^{-1} L, has E[F^T X] = P^{-1} W^T X^T X and
+    # E[F^T F] = P^{-1} W^T X^T X W P^{-1} + n P^{-1}.  The sampler's F^T F and
+    # F^T R, as handed to step (b), must have both means within five standard
+    # errors, entry by entry.  Step (b) and (c) are replaced so that every
+    # iteration after the first draws at the same L and Sigma.
+    k, draws = 3, 20_000
+    rng = np.random.default_rng(n)
+    data = rng.standard_normal((n, p)) + 2.0
+    loadings = 0.5 * rng.standard_normal((p, k))
+    variances = rng.uniform(0.5, 1.5, size=p)
+    recorded = []
+
+    def record(gram, projections, *args):
+        recorded.append(np.hstack((gram, projections.T)))
+        return loadings
+
+    monkeypatch.setattr(factor_model, "_loading_rows", record)
+    monkeypatch.setattr(factor_model, "_draw_inverse_gamma", lambda *args, **kwargs: variances)
+    gibbs_sample(data, SamplerConfig(iterations=draws + 1, burn_in=draws, seed=n), k=k)
+    statistics = np.array(recorded[1:])
+
+    centered = data - data.mean(axis=0)
+    weighted = loadings / variances[:, None]
+    covariance = np.linalg.inv(np.eye(k) + loadings.T @ weighted)
+    cross = covariance @ weighted.T @ (centered.T @ centered)
+    expected = np.hstack((cross @ weighted @ covariance + n * covariance, cross))
+    errors = statistics.std(axis=0) / np.sqrt(draws)
+    assert np.all(np.abs(statistics.mean(axis=0) - expected) <= 5.0 * errors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    extra=st.integers(0, 3),
+    offset=st.integers(-12, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=1, extra=0, offset=0, seed=0)  # n = p
+@example(k=2, extra=0, offset=1, seed=1)  # n = p + 1
+@example(k=3, extra=1, offset=-5, seed=2)  # n < p
+def test_gibbs_small_shapes_are_finite_and_reproducible(k, extra, offset, seed):
+    p = 2 * k + 1 + extra
+    n = max(p + offset, 1)
+    data = np.random.default_rng(seed).standard_normal((n, p))
+    cfg = SamplerConfig(iterations=25, burn_in=5, seed=seed)
+    chain = gibbs_sample(data, cfg, k=k)
+    again = gibbs_sample(data, cfg, k=k)
+    assert chain.samples.shape == (20, p, k)
+    assert chain.residual_variances.shape == (20, p)
+    assert np.all(np.isfinite(chain.samples)) and np.all(np.isfinite(chain.residual_variances))
+    np.testing.assert_array_equal(chain.samples, again.samples)
+    np.testing.assert_array_equal(chain.residual_variances, again.residual_variances)
 
 
 def test_gibbs_output_shapes_and_positivity():
@@ -388,7 +487,7 @@ def test_gibbs_posterior_tracks_sample_covariance():
     cfg = GeneratorConfig(n=500, p=20, k=3, scenario=Scenario.INDEPENDENT, seed=31)
     ds = generate_independent(cfg)
     chain = gibbs_sample(ds.X, SamplerConfig(iterations=5000, burn_in=500, seed=32), k=3)
-    centered, _ = center_columns(ds.X)
+    centered = ds.X - ds.X.mean(axis=0)
     empirical = (centered.T @ centered) / cfg.n
     fitted = np.zeros((20, 20))
     for t in range(chain.n_samples):
