@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from statistics import median
 
 import numpy as np
 
@@ -205,32 +204,30 @@ def _check_targets(targets, inputs=()) -> None:
     write, and ``inputs`` ``(what, path)`` pairs.  A target is refused when it
     is a directory, when its nearest existing ancestor is not a directory,
     when it resolves to an input or an earlier target, or when it lies under
-    another target.  Commands call this before they read anything, so a bad
-    path costs no work.  Each path is resolved once, and only when there are
-    inputs: a command without them names its outputs by distinct suffixes of
-    one prefix, so they neither coincide nor nest.
+    an earlier target or an earlier target lies under it.  Commands call this
+    before they read anything, so a bad path costs no work.  Each path is
+    resolved once.
     """
-    taken = {Path(path).resolve(): what for what, path in inputs}
+    taken = {os.path.realpath(path): what for what, path in inputs}
     outputs = {}
     for option, target in targets:
-        path = Path(target)
-        if os.path.isdir(path):
+        if os.path.isdir(target):
             raise ValueError(f"{option} path {target} is a directory")
-        ancestor = next(parent for parent in path.parents if os.path.exists(parent))
+        ancestor = next(parent for parent in Path(target).parents if os.path.exists(parent))
         if not os.path.isdir(ancestor):
             raise ValueError(
                 f"{option} path {target} is under {ancestor}, which is not a directory"
             )
-        if taken:
-            resolved = path.resolve()
-            if resolved in taken:
-                raise ValueError(f"{option} path {target} would overwrite {taken[resolved]}")
-            taken[resolved] = f"the {option} output"
-            outputs[resolved] = (option, target)
-    for resolved, (option, target) in outputs.items():
+        resolved = os.path.realpath(target)
+        if resolved in taken:
+            raise ValueError(f"{option} path {target} would overwrite {taken[resolved]}")
         for above, (other, upper) in outputs.items():
-            if str(resolved).startswith(f"{above}{os.sep}"):
+            if resolved.startswith(above + os.sep):
                 raise ValueError(f"{option} path {target} is under the {other} output {upper}")
+            if above.startswith(resolved + os.sep):
+                raise ValueError(f"{other} path {upper} is under the {option} output {target}")
+        taken[resolved] = f"the {option} output"
+        outputs[resolved] = (option, target)
 
 
 # The stages _cmd_align times, in order; each is reported as <stage>_seconds.
@@ -397,7 +394,7 @@ def _cmd_oracle_check(args) -> int:
             else None
         ),
         "timings": {
-            f"{name}_median_seconds": median(seconds[name]) if name in seconds else None
+            f"{name}_median_seconds": float(np.median(seconds[name])) if name in seconds else None
             for name in ("greedy", "exact", "brute")
         },
     }

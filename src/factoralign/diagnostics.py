@@ -4,8 +4,12 @@ The covariance metric compares the posterior mean of L L^T (invariant under
 alignment) with the same quantity rebuilt from the mean of the aligned
 samples; a misaligned chain averages incompatible rotations and inflates it.
 The ESS estimator runs as one array pass over every loading-entry series of a
-chain.  ``build_report`` is the one place that turns a raw and an aligned
-chain into these fields, for both the ``align`` and the ``diagnose`` report.
+chain, on one centred copy of the samples.  Series that finish stay in the
+working set until at least half of it has finished, and only then are the
+live ones copied out, so those copies total less than one payload (the size
+of the chain's samples) and the pass holds under two payloads.
+``build_report`` is the one place that turns a raw and an aligned chain into
+these fields, for both the ``align`` and the ``diagnose`` report.
 """
 
 from __future__ import annotations
@@ -137,8 +141,12 @@ def _ess_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The rows are centred in place, so callers pass an array of their own.
     Each row takes the same dot products, in the same order, as a scalar
-    series would; a row leaves the working set at its first non-positive
-    autocorrelation pair, and the set is compacted only when rows leave it.
+    series would, and finishes at its first non-positive autocorrelation
+    pair; constant rows start out finished.  Finished rows stay in the
+    working set, which starts as ``rows`` itself, until at least half of it
+    has finished; only then are the live rows copied out.  Each copy is at
+    most half the set it replaces, so the copies held beside ``rows`` never
+    reach its size.
     """
     t = rows.shape[1]
     if t < MIN_SERIES_LENGTH:
@@ -147,19 +155,20 @@ def _ess_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gamma0 = np.vecdot(rows, rows) / t
     constant = gamma0 == 0.0
     pair_sums = np.zeros(len(rows))
-    active = np.flatnonzero(~constant)
-    work, work_gamma0 = (rows[active], gamma0[active]) if constant.any() else (rows, gamma0)
+    # A constant row divides by a stand-in variance of 1.0, so its pair stays finite.
+    work, variance, live = rows, np.where(constant, 1.0, gamma0), ~constant
+    index = np.arange(len(rows))
     lag = 0
-    while active.size and lag < t:
+    while live.any() and lag < t:
         # at lag + 1 == T both slices are empty, so that product is 0
         pair = (
-            np.vecdot(work[:, : t - lag], work[:, lag:]) / t / work_gamma0
-            + np.vecdot(work[:, : t - lag - 1], work[:, lag + 1 :]) / t / work_gamma0
+            np.vecdot(work[:, : t - lag], work[:, lag:]) / t / variance
+            + np.vecdot(work[:, : t - lag - 1], work[:, lag + 1 :]) / t / variance
         )
-        positive = pair > 0.0
-        pair_sums[active[positive]] += pair[positive]
-        if not positive.all():
-            active, work, work_gamma0 = active[positive], work[positive], work_gamma0[positive]
+        live &= pair > 0.0
+        pair_sums[index[live]] += pair[live]
+        if 2 * np.count_nonzero(live) <= len(live):
+            index, work, variance, live = index[live], work[live], variance[live], live[live]
         lag += 2
     tau = np.maximum(2.0 * pair_sums - 1.0, 1.0 / ESS_CAP_RATIO)
     ess = np.minimum(t / tau, ESS_CAP_RATIO * t)

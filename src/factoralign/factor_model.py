@@ -294,6 +294,8 @@ def gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError(f"data must be 2-dimensional, got shape {data.shape}")
+    if not len(data):
+        raise ValueError("data has no rows")
     if not np.all(np.isfinite(data)):
         raise ValueError("data contains non-finite entries")
     n, p = data.shape

@@ -287,6 +287,31 @@ def test_metric_matches_per_sample_loop():
         assert covariance_discrepancy(reference, target) == pytest.approx(expected, rel=1e-12)
 
 
+def _staggered_chain():
+    # 24 AR(1) series with rho from 0 to 0.98 finish at staggered lags up to
+    # about 40, so the working set is copied out five times, halving each time.
+    rng = np.random.default_rng(87)
+    rho = np.linspace(0.0, 0.98, 24)
+    return Chain(np.stack([ar1_series(r, 400, rng) for r in rho], axis=1).reshape(400, 6, 4))
+
+
+def _one_varying_entry_chain():
+    samples = np.full((60, 6, 4), 0.25)
+    samples[:, 4, 1] = ar1_series(0.7, 60, np.random.default_rng(88))
+    return Chain(samples)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [_staggered_chain(), Chain(np.full((50, 6, 4), -1.5)), _one_varying_entry_chain()],
+    ids=["staggered", "all-constant", "one-varying-entry"],
+)
+def test_per_entry_ess_equals_per_series_loop_as_the_working_set_shrinks(chain):
+    series = chain.samples.reshape(chain.n_samples, -1).T
+    expected = np.array([loop_effective_sample_size(x) for x in series])
+    assert np.array_equal(per_entry_ess(chain).ravel(), expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), t=st.integers(10, 300), rho=st.floats(-0.9, 0.99))
 def test_ess_equals_per_series_loop(seed, t, rho):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -479,6 +480,13 @@ def test_gibbs_rejects_non_finite_data():
     x[3, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         gibbs_sample(x, SamplerConfig(iterations=5, burn_in=1), k=2)
+
+
+def test_gibbs_rejects_data_without_rows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^data has no rows$"):
+            gibbs_sample(np.empty((0, 7)), SamplerConfig(iterations=5, burn_in=1), k=2)
 
 
 def test_gibbs_posterior_tracks_sample_covariance():
