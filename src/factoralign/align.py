@@ -23,8 +23,10 @@ evaluates, and check the kernel against it bitwise.
 The two exact matchers exist as quality baselines and test oracles: the
 per-sample optimum from an in-package O(k^3) assignment solve (the Hungarian
 method; the package needs only numpy) and a small-k exhaustive search.  Both
-take the table of one sample, and both raise :class:`NumericalError` when a
-pair cost overflows.
+take the table of one sample, at the package's one power-of-two scale, and
+both raise :class:`NumericalError` when a pair cost overflows.  Wherever such
+a check reports an overflow, numpy's overflow and invalid-value warnings are
+silenced, so a failure prints one error line.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .core import (
     SignedPermutation,
     apply_signed_permutation,
     frobenius_norm,
+    scale_exponent,
     validate_loadings,
 )
 from .pivot import PivotSelection
@@ -137,6 +140,7 @@ def _warn_unstable_matches(per_sample, unit: str) -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _checked_greedy_match(
     a, pivot, order: MatchOrder = MatchOrder.BY_DESCENDING_NORM
 ) -> tuple[SignedPermutation, int]:
@@ -187,11 +191,14 @@ def _signed_d2(samples: np.ndarray, pivot: np.ndarray) -> np.ndarray:
     return d2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pair_costs(a: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The k x k costs min(|a_j - p_h|^2, |a_j + p_h|^2) of one sample, and their signs.
 
-    The sign is +1 at ties.  Raises :class:`NumericalError` when a cost
-    overflows.
+    The costs are returned scaled by the power of two that puts the largest
+    in [0.5, 1) (:func:`~factoralign.core.scale_exponent`), which is exact
+    for every normal entry and keeps any sum of k of them finite.  The sign
+    is +1 at ties.  Raises :class:`NumericalError` when a cost overflows.
     """
     k = a.shape[1]
     d2 = _signed_d2(a[None], pivot)[0].reshape(k, k, 2)
@@ -200,7 +207,7 @@ def _pair_costs(a: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # The costs are sums of squares, so they are all finite when the largest is.
     if not math.isfinite(float(cost.max())):
         raise NumericalError(_NON_FINITE_DISTANCE)
-    return cost, np.where(plus <= minus, 1, -1)
+    return np.ldexp(cost, -scale_exponent(cost)), np.where(plus <= minus, 1, -1)
 
 
 def _assignment(cost: list[list[float]]) -> list[int]:
@@ -257,14 +264,14 @@ def exact_match_assignment(a, pivot) -> SignedPermutation:
     in O(k^3) by :func:`_assignment`; the sign of each matched pair is the
     cheaper of the two, + at ties.  The costs are read from the greedy
     kernel's distance table, so they carry its rounding.  The solve runs on
-    the cost scaled by a power of two to below 1, which keeps its potentials
-    from overflowing and leaves every normal entry exact.  Among tied optima
-    any one may be returned.  Raises :class:`NumericalError` when a pair cost
-    overflows.
+    the costs at the package's one power-of-two scale
+    (:func:`~factoralign.core.scale_exponent`), at most 1, which keeps its
+    potentials from overflowing and leaves every normal entry exact.  Among
+    tied optima any one may be returned.  Raises :class:`NumericalError` when
+    a pair cost overflows.
     """
     cost, signs = _pair_costs(*_checked_pair(a, pivot))
-    scale = -math.frexp(float(cost.max()))[1]
-    perm = np.array(_assignment(np.ldexp(cost, scale).tolist()))
+    perm = np.array(_assignment(cost.tolist()))
     return SignedPermutation(perm, signs[perm, np.arange(perm.size)])
 
 
@@ -280,12 +287,12 @@ def brute_force_match(a, pivot) -> SignedPermutation:
     """Exhaustive minimizer over all k! * 2^k signed permutations (k <= 8).
 
     For each permutation the optimal sign decomposes per column, so the
-    search sums the per-pair costs of :func:`exact_match_assignment` over
-    every permutation, in lexicographic order and column by column, with each
-    sign chosen as + at exact ties; ``argmin`` returns the first minimizer,
-    which realizes the lexicographic (perm, signs) tie-break with +1 ordered
-    before -1.  Raises :class:`NumericalError` when a pair cost or the best
-    total overflows.
+    search sums the per-pair costs of :func:`exact_match_assignment`, at the
+    same scale, over every permutation, in lexicographic order and column by
+    column, with each sign chosen as + at exact ties; ``argmin`` returns the
+    first minimizer, which realizes the lexicographic (perm, signs) tie-break
+    with +1 ordered before -1.  At that scale no total overflows.  Raises
+    :class:`NumericalError` when a pair cost overflows.
     """
     a_arr, p_arr = _checked_pair(a, pivot)
     k = a_arr.shape[1]
@@ -296,10 +303,7 @@ def brute_force_match(a, pivot) -> SignedPermutation:
     totals = np.zeros(len(perms))
     for h in range(k):
         totals += cost[perms[:, h], h]
-    best = int(np.argmin(totals))
-    if not math.isfinite(totals[best]):
-        raise NumericalError(_NON_FINITE_DISTANCE)
-    perm = perms[best]
+    perm = perms[np.argmin(totals)]
     return SignedPermutation(perm, signs[perm, np.arange(k)])
 
 
@@ -342,6 +346,7 @@ def _greedy_match_chain(
     return perm, signs, matched_d2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def align_chain(
     chain: Chain,
     pivot_selection: PivotSelection,

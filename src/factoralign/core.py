@@ -1,4 +1,9 @@
-"""Matrix value types, norms, and signed-permutation algebra shared by all modules.
+"""Matrix value types, norms, signed-permutation algebra and the one rescaling rule.
+
+Every stage that must stay finite at any scale of its input rescales by the
+power of two that :func:`scale_exponent` gives: varimax per sample, the
+sampler's loading-row quotient, the exact matchers' cost table, and the
+diagnostics' covariance metric and ESS.
 
 Conventions: a loadings matrix is a dense ``(p, k)`` float array whose rows
 index observed variables and whose columns index latent factors.  All column
@@ -71,6 +76,20 @@ def validate_stack(m, name: str) -> np.ndarray:
         t = int(np.argmin(np.isfinite(arr).all(axis=(1, 2))))
         raise SampleError(t, f"{name} contain non-finite entries")
     return arr
+
+
+def scale_exponent(x: np.ndarray, axis=None) -> np.ndarray:
+    """The exponent e for which max|x| * 2**-e lies in [0.5, 1), per slice along ``axis``.
+
+    The reduced axes are kept with size 1, so ``np.ldexp(x, -e)`` rescales
+    each slice, and e is 0 for a slice of zeros.  This is the package's one
+    rescaling rule: a stage that must stay finite works on ``x`` scaled by
+    2**-e, which is exact for normal entries, and maps its result back by
+    the power of 2**e its result scales with.  The maximum is taken from
+    ``max`` and ``-min``, so nothing the size of ``x`` is allocated.
+    """
+    peak = np.maximum(x.max(axis=axis, keepdims=True), -x.min(axis=axis, keepdims=True))
+    return np.frexp(peak)[1]
 
 
 def frobenius_norm(m) -> float:

@@ -8,6 +8,16 @@ chain, on one centred copy of the samples.  Series that finish stay in the
 working set until at least half of it has finished, and only then are the
 live ones copied out, so those copies total less than one payload (the size
 of the chain's samples) and the pass holds under two payloads.
+
+Both metrics use the package's one power-of-two rescaling rule
+(``core.scale_exponent``).  ESS rescales each series before centring it, so
+it is exactly scale-free: a chain scaled by 2**s gives bitwise the same ESS
+while its entries stay normal floats.  The covariance metric takes its grams
+at one chain-wide scale and maps its value back, so it is scale-equivariant:
+scaling a chain by 2**s scales the metric by exactly 2**(2s), rounded once.
+It raises :class:`~factoralign.core.NumericalError` only when that value
+overflows.
+
 ``build_report`` is the one place that turns a raw and an aligned chain into
 these fields, for both the ``align`` and the ``diagnose`` report.
 """
@@ -18,7 +28,7 @@ import warnings
 
 import numpy as np
 
-from .core import Chain, frobenius_norm
+from .core import Chain, NumericalError, frobenius_norm, scale_exponent
 
 __all__ = [
     "DegenerateSeriesWarning",
@@ -73,44 +83,59 @@ def build_report(raw: Chain | None, aligned: Chain | None) -> dict:
     return report
 
 
-def _mean_gram(chain: Chain) -> np.ndarray:
-    # sum_t L_t L_t^T is one product of the (p, T*k) unfolding with itself.
-    unfolded = chain.samples.transpose(1, 0, 2).reshape(chain.n_variables, -1)
-    return unfolded @ unfolded.T / chain.n_samples
+def _mean_gram(chain: Chain) -> tuple[np.ndarray, int]:
+    """mean(L L^T) at the chain's scale, as ``(G, e)`` with G = mean(L L^T) * 2**-2e.
+
+    e is the chain-wide :func:`~factoralign.core.scale_exponent`, so G is
+    finite whatever the scale of the samples.
+    """
+    e = scale_exponent(chain.samples).item()
+    # sum_t L_t L_t^T is one product of the (p, T*k) unfolding with itself,
+    # scaled in the one C-order copy that the unfolding needs.
+    unfolded = np.ldexp(chain.samples.swapaxes(0, 1), -e, order="C").reshape(chain.n_variables, -1)
+    return unfolded @ unfolded.T / chain.n_samples, e
 
 
 def covariance_discrepancy(
     raw: Chain,
     aligned: Chain,
     *,
-    raw_gram: np.ndarray | None = None,
-    aligned_gram: np.ndarray | None = None,
+    raw_gram: tuple[np.ndarray, int] | None = None,
+    aligned_gram: tuple[np.ndarray, int] | None = None,
 ) -> float:
     """Frobenius distance between mean(L L^T) and Lbar Lbar^T of the aligned chain.
 
     The first term is computed from the raw chain; because alignment only
     post-multiplies by signed permutations, the aligned chain must give the
     same mean gram matrix, and this is asserted.  ``raw_gram`` and
-    ``aligned_gram`` are the chains' mean(L L^T) when the caller already has
-    them; :func:`build_report` passes them so that each chain's is computed
-    once.  The result is the same either way.
+    ``aligned_gram`` are the chains' mean grams when the caller already has
+    them, each as a pair ``(G, e)``: G is mean(L L^T) * 2**-2e, with e the
+    chain's :func:`~factoralign.core.scale_exponent`.  :func:`build_report`
+    passes them so that each chain's is computed once.  The result is the
+    same either way.  Both terms are taken at the raw chain's scale 2**-e and
+    the distance is mapped back by 2**(2e), so the metric is scale-equivariant
+    and finite whenever its value is; it raises :class:`NumericalError` when
+    the value overflows.
     """
     if raw.samples.shape != aligned.samples.shape:
         raise ValueError(
             f"chain shapes differ: {raw.samples.shape} vs {aligned.samples.shape}"
         )
-    if raw_gram is None:
-        raw_gram = _mean_gram(raw)
-    if aligned_gram is None:
-        aligned_gram = _mean_gram(aligned)
-    drift = frobenius_norm(raw_gram - aligned_gram)
-    if drift > 1e-10 * max(frobenius_norm(raw_gram), 1e-300):
-        raise ValueError(
-            "per-sample L L^T differs between the chains; 'aligned' is not a "
-            "signed-permutation alignment of 'raw'"
-        )
-    mean_aligned = aligned.samples.mean(axis=0)
-    return frobenius_norm(raw_gram - mean_aligned @ mean_aligned.T)
+    raw_gram, e = _mean_gram(raw) if raw_gram is None else raw_gram
+    aligned_gram, aligned_e = _mean_gram(aligned) if aligned_gram is None else aligned_gram
+    with np.errstate(over="ignore"):
+        # A chain far larger than the raw one overflows here and fails the check.
+        drift = frobenius_norm(raw_gram - np.ldexp(aligned_gram, 2 * (aligned_e - e)))
+        if drift > 1e-10 * max(frobenius_norm(raw_gram), 1e-300):
+            raise ValueError(
+                "per-sample L L^T differs between the chains; 'aligned' is not a "
+                "signed-permutation alignment of 'raw'"
+            )
+        mean_aligned = np.ldexp(aligned.samples, -e).mean(axis=0)
+        value = float(np.ldexp(frobenius_norm(raw_gram - mean_aligned @ mean_aligned.T), 2 * e))
+    if not np.isfinite(value):
+        raise NumericalError(f"covariance discrepancy overflows at loadings of up to 2**{e}")
+    return value
 
 
 def effective_sample_size(series) -> float:
@@ -139,18 +164,21 @@ def effective_sample_size(series) -> float:
 def _ess_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ESS of every row of an (m, T) float64 array of series, and which rows are constant.
 
-    The rows are centred in place, so callers pass an array of their own.
-    Each row takes the same dot products, in the same order, as a scalar
-    series would, and finishes at its first non-positive autocorrelation
-    pair; constant rows start out finished.  Finished rows stay in the
-    working set, which starts as ``rows`` itself, until at least half of it
-    has finished; only then are the live rows copied out.  Each copy is at
-    most half the set it replaces, so the copies held beside ``rows`` never
-    reach its size.
+    Each row is rescaled by its own power of two and centred in place, so
+    callers pass an array of their own; the rescaling is exact, so a series
+    and its multiples by powers of two get the same estimate.  Each row then
+    takes the same dot products, in the same order, as a scalar series
+    would, and finishes at its first non-positive autocorrelation pair;
+    constant rows start out finished.  Finished rows stay in the working
+    set, which starts as ``rows`` itself, until at least half of it has
+    finished; only then are the live rows copied out.  Each copy is at most
+    half the set it replaces, so the copies held beside ``rows`` never reach
+    its size.
     """
     t = rows.shape[1]
     if t < MIN_SERIES_LENGTH:
         raise ValueError(f"series must have at least {MIN_SERIES_LENGTH} points, got {t}")
+    np.ldexp(rows, -scale_exponent(rows, axis=1), out=rows)
     rows -= rows.mean(axis=1, keepdims=True)
     gamma0 = np.vecdot(rows, rows) / t
     constant = gamma0 == 0.0

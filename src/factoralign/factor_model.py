@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chain, NumericalError
+from .core import Chain, NumericalError, scale_exponent
 
 __all__ = [
     "GeneratorConfig",
@@ -233,12 +233,13 @@ def _loading_rows(gram, projections, variances, prior_precision, z, iteration) -
     if not finite.all():
         raise NumericalError(f"{where}, row {np.argmin(finite)} is not finite")
     # b_j is Q_j times row j's conditional mean, at most max(precisions_j)
-    # times as long.  Both terms of the quotient are scaled by 2^-e <= 1, with
-    # 2^e the power of two just above the largest precision, so b V stays
-    # finite unless the mean overflows; the scaling is exact and leaves the
-    # quotient unchanged.  An infinite F^T x_j still gives a NaN row, as a
-    # LAPACK solve does, and step (c) reports it.
-    scale = math.ldexp(1.0, -max(math.frexp(precisions.max())[1], 0))
+    # times as long.  Both terms of the quotient are scaled by 2^-e by the
+    # package's one rule (core.scale_exponent), with e clamped at 0 so that
+    # 2^-e <= 1: 2^e is the power of two just above the largest precision, so
+    # b V stays finite unless the mean overflows; the scaling is exact and
+    # leaves the quotient unchanged.  An infinite F^T x_j still gives a NaN
+    # row, as a LAPACK solve does, and step (c) reports it.
+    scale = np.ldexp(1.0, -np.maximum(scale_exponent(precisions), 0))
     coordinates = ((projections / variances[:, None]) @ (basis * scale)) / (precisions * scale)
     coordinates += (z @ basis) / np.sqrt(precisions)
     return coordinates @ basis.T

@@ -304,7 +304,7 @@ def test_exact_raises_on_non_finite_cost():
     sample = pivot.copy()
     sample[:, 1] *= 1e200
     for matcher in (exact_match_assignment, brute_force_match):
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match=_NON_FINITE_DISTANCE):
+        with pytest.raises(NumericalError, match=_NON_FINITE_DISTANCE):
             matcher(sample, pivot)
 
 
@@ -580,11 +580,10 @@ def test_overflowing_distances_raise_numerical_error(scale):
     # left its best index at -1 and failed on an unrelated list error.
     rng = np.random.default_rng(60)
     chain = Chain(scale * rng.standard_normal((20, 6, 2)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="sample 0: matching distance"):
-            align_chain(chain, select_pivot(chain))
-        with pytest.raises(NumericalError, match="matching distance"):
-            greedy_match(chain.samples[3], chain.samples[0])
+    with pytest.raises(NumericalError, match="sample 0: matching distance"):
+        align_chain(chain, select_pivot(chain))
+    with pytest.raises(NumericalError, match="matching distance"):
+        greedy_match(chain.samples[3], chain.samples[0])
 
 
 def test_overflowing_loss_names_the_first_bad_sample():
@@ -596,6 +595,5 @@ def test_overflowing_loss_names_the_first_bad_sample():
     samples[3] = 1.3e154
     chain = Chain(samples)
     selection = PivotSelection(0, chain.samples[0].copy(), PivotStatistic.CONDITION_NUMBER, np.zeros(4))
-    with np.errstate(over="ignore"):
-        with pytest.raises(NumericalError, match="sample 2: matching distance"):
-            align_chain(chain, selection)
+    with pytest.raises(NumericalError, match="sample 2: matching distance"):
+        align_chain(chain, selection)

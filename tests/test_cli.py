@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import importlib.util
 import io
 import json
 import os
@@ -14,13 +15,56 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import factoralign
-from factoralign import read_chain, read_dataset
+from factoralign import chainio, read_chain, read_dataset
 from factoralign.chainio import read_traces
 from factoralign.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+@pytest.fixture(autouse=True)
+def _reports_hold_no_nan(monkeypatch):
+    # json writes a NaN float as the bare word NaN, which is not JSON; every
+    # report the CLI writes or prints goes through report_text.
+    original = chainio.report_text
+
+    def checked(payload):
+        text = original(payload)
+        assert "NaN" not in text, text
+        return text
+
+    monkeypatch.setattr(chainio, "report_text", checked)
+
+
+@functools.cache
+def _drift_k5_chain():
+    """The benchmark's align-drift-k5 chain (``bench/workloads.py``), seed 3."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.drifting_chain(workloads.WORKLOADS["align-drift-k5"], 3)
+
+
+def _write_scaled_drift_chain(path, scale) -> None:
+    """Write the align-drift-k5 chain with its samples times ``scale``, or times 2**scale for an int."""
+    from factoralign import Chain, write_chain
+
+    chain = _drift_k5_chain()
+    samples = np.ldexp(chain.samples, scale) if isinstance(scale, int) else chain.samples * scale
+    write_chain(path, Chain(samples, chain.residual_variances))
+
+
+def _run_fresh(argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, where numpy's warnings reach stderr."""
+    src = str(Path(factoralign.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "factoralign", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
 
 
 def simulate_small(tmp_path, seed=5, scenario="sparse", n=40, p=9, k=3):
@@ -130,6 +174,51 @@ def test_fit_overflowing_data_exits_4_naming_the_iteration(tmp_path, capsys):
     assert "iteration 0" in capsys.readouterr().err
 
 
+def test_align_overflow_prints_only_the_error_line(tmp_path):
+    # The varimax objective once printed three RuntimeWarnings with their
+    # source lines before the error line.
+    _write_scaled_drift_chain(tmp_path / "c", 1e160)
+    done = _run_fresh(["align", tmp_path / "c", "--out", tmp_path / "a"])
+    assert done.returncode == 4
+    assert done.stderr == (
+        "error: sample 0: varimax objective is nan: fourth powers of the loadings overflow\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
+
+
+@pytest.mark.parametrize("scale", [520, 1e160], ids=["2^520", "1e160"])
+def test_diagnose_overflow_prints_only_the_error_line(tmp_path, scale):
+    # The metric's true value overflows.  This once printed 22 warning lines,
+    # exited 0 and wrote "covariance_discrepancy_raw": NaN and an ESS ratio
+    # at its 10.0 cap.
+    _write_scaled_drift_chain(tmp_path / "c", scale)
+    done = _run_fresh(
+        ["diagnose", "--raw", tmp_path / "c", "--traces", "0,0;3,1", "--out", tmp_path / "d"]
+    )
+    assert done.returncode == 4
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("error: covariance discrepancy overflows")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
+
+
+@pytest.mark.parametrize("exponent", [500, -500])
+def test_diagnose_is_exact_at_power_of_two_scales(tmp_path, capsys, exponent):
+    # At 2**500 the metric once read Infinity, at 2**-500 0.0; both values
+    # are representable.
+    _write_scaled_drift_chain(tmp_path / "c", 0)
+    _write_scaled_drift_chain(tmp_path / "s", exponent)
+    reports = []
+    for name in ("c", "s"):
+        assert run(["diagnose", "--raw", tmp_path / name, "--out", tmp_path / f"{name}_d"]) == 0
+        assert capsys.readouterr().err == ""
+        reports.append(json.loads((tmp_path / f"{name}_d_report.json").read_text()))
+    unit, scaled = reports
+    assert scaled["covariance_discrepancy_raw"] == np.ldexp(unit["covariance_discrepancy_raw"], 2 * exponent)
+    assert 0.0 < scaled["covariance_discrepancy_raw"] < np.inf
+    for key in ("mean_ess_ratio_raw", "per_entry_ess_raw"):
+        assert scaled[key] == unit[key]
+
+
 def test_fit_overflow_prints_only_the_error_line(tmp_path):
     # In a fresh interpreter, where numpy's warnings reach stderr: the
     # overflow in F^T F once printed three RuntimeWarnings with their source
@@ -138,11 +227,8 @@ def test_fit_overflow_prints_only_the_error_line(tmp_path):
 
     data = simulate_small(tmp_path, n=300, p=20, k=3)
     write_dataset(tmp_path / "huge.csv", read_dataset(f"{data}.csv") * 1e200)
-    src = str(Path(factoralign.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-m", "factoralign", "fit", str(tmp_path / "huge.csv"), "--k", "3",
-         "--iterations", "5", "--burn-in", "1", "--out", str(tmp_path / "c")],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    done = _run_fresh(
+        ["fit", tmp_path / "huge.csv", "--k", 3, "--iterations", 5, "--burn-in", 1, "--out", tmp_path / "c"]
     )
     assert done.returncode == 4
     assert done.stderr == "error: loading-row precision at iteration 0, row 0 is not finite\n"
@@ -696,8 +782,7 @@ def test_align_overflowing_chain_exits_4_and_writes_nothing(tmp_path, capsys, sc
 
     samples = scale * np.random.default_rng(94).standard_normal((20, 6, 1))
     write_chain(tmp_path / "c", Chain(samples))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["align", tmp_path / "c", "--out", tmp_path / "a"])
+    code = run(["align", tmp_path / "c", "--out", tmp_path / "a"])
     assert code == 4
     assert "sample 0: varimax objective" in capsys.readouterr().err
     assert not (tmp_path / "a.bin").exists()
@@ -712,8 +797,7 @@ def test_align_varimax_overflow_exits_4_and_writes_nothing(tmp_path, capsys):
     samples = np.random.default_rng(96).standard_normal((20, 6, 2))
     samples[3:] *= 1e100
     write_chain(tmp_path / "c", Chain(samples))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["align", tmp_path / "c", "--out", tmp_path / "a"])
+    code = run(["align", tmp_path / "c", "--out", tmp_path / "a"])
     assert code == 4
     assert "error: sample 3: varimax objective is" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]

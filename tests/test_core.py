@@ -1,5 +1,7 @@
 import importlib
+import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from factoralign import (
     frobenius_norm,
     random_signed_permutation,
 )
+from factoralign.core import scale_exponent
 
 
 # The package's public names: each submodule's __all__ republished.
@@ -46,6 +49,68 @@ def test_package_all_pins_the_public_api():
         owners = [module for module in submodules if name in module.__all__]
         assert len(owners) == 1, (name, [module.__name__ for module in owners])
         assert getattr(factoralign, name) is getattr(owners[0], name), name
+
+
+def test_scale_exponent_of_zeros_and_signed_zeros_is_zero():
+    assert scale_exponent(np.zeros(3)).tolist() == [0]
+    assert scale_exponent(np.array([-0.0, 0.0])).tolist() == [0]
+    assert scale_exponent(np.array([-0.0])).tolist() == [0]
+
+
+@pytest.mark.parametrize(
+    "values, exponent",
+    [
+        ([1.0], 1),
+        ([0.5], 0),
+        ([0.75, -0.25], 0),
+        ([-3.0, 1.0], 2),  # the largest magnitude comes from -min
+        ([np.finfo(float).max], 1024),
+        ([np.finfo(float).tiny], -1021),
+        ([5e-324], -1073),  # the smallest subnormal
+        ([-5e-324, 0.0, 2.5e-323], -1071),  # 5 * 2**-1074
+    ],
+)
+def test_scale_exponent_puts_the_largest_magnitude_in_half_to_one(values, exponent):
+    x = np.array(values)
+    e = scale_exponent(x)
+    assert e.shape == (1,) and e.tolist() == [exponent]
+    assert 0.5 <= np.max(np.abs(np.ldexp(x, -e))) < 1.0
+
+
+def test_scale_exponent_keeps_reduced_axes():
+    x = np.zeros((3, 2, 4))
+    x[0, 1, 2] = -6.0  # 0.75 * 2**3
+    x[2, 0, 0] = 2.0**-1060  # subnormal
+    assert scale_exponent(x).shape == (1, 1, 1)
+    e = scale_exponent(x, axis=(1, 2))
+    assert e.shape == (3, 1, 1) and e.ravel().tolist() == [3, 0, -1059]
+    rows = scale_exponent(x.reshape(3, -1), axis=1)
+    assert rows.shape == (3, 1) and rows.ravel().tolist() == [3, 0, -1059]
+    assert scale_exponent(x, axis=0).shape == (1, 2, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True), min_size=1, max_size=8
+    )
+)
+def test_scale_exponent_matches_frexp_of_the_largest_magnitude(values):
+    x = np.array(values)
+    assert scale_exponent(x).tolist() == [math.frexp(max(abs(v) for v in values))[1]]
+
+
+def test_scale_exponent_allocates_nothing_the_size_of_its_input():
+    x = np.random.default_rng(2).standard_normal((200, 50, 5))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scale_exponent(x, axis=(1, 2))
+        scale_exponent(x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 10, peak
 
 
 def test_frobenius_norm_zero_matrix():

@@ -2,12 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factoralign import (
     Chain,
     DegenerateSeriesWarning,
+    NumericalError,
     apply_signed_permutation,
     build_report,
     covariance_discrepancy,
@@ -18,6 +19,7 @@ from factoralign import (
     per_entry_ess,
     random_signed_permutation,
 )
+from conftest import random_orthogonal
 
 
 def ar1_series(rho, t, rng):
@@ -336,3 +338,64 @@ def test_ess_equals_per_series_loop(seed, t, rho):
         warnings.simplefilter("ignore", DegenerateSeriesWarning)
         scalar = np.array([effective_sample_size(x) for x in series])
     assert np.array_equal(scalar, expected)
+
+
+def _stays_normal(x: np.ndarray, exponent: int) -> bool:
+    """Whether every nonzero entry of ``x`` is a normal float, and stays one scaled by 2**exponent."""
+    _, exponents = np.frexp(x[x != 0])
+    return exponents.min() + min(exponent, 0) >= -1021 and exponents.max() + max(exponent, 0) <= 1024
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), exponent=st.integers(-1074, 1074))
+def test_ess_is_bitwise_scale_free_at_powers_of_two(seed, exponent):
+    # Unscaled, the variances underflowed from about 2**-540 down (every ESS
+    # read T) and the lag products overflowed from about 2**510 up.
+    rng = np.random.default_rng(seed)
+    t = 40
+    samples = np.cumsum(rng.standard_normal((t, 3, 2)), axis=0) + rng.standard_normal((t, 3, 2))
+    samples[:, 0, 0] = 1.5
+    samples[:, 2, 1] = np.tile([0.25, -0.5], t // 2)
+    assume(_stays_normal(samples, exponent))
+    scaled = np.ldexp(samples, exponent)
+    assert np.array_equal(per_entry_ess(Chain(scaled)), per_entry_ess(Chain(samples)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateSeriesWarning)
+        for row, col in ((0, 0), (1, 1), (2, 1)):
+            want = effective_sample_size(samples[:, row, col])
+            assert effective_sample_size(scaled[:, row, col]) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), exponent=st.integers(-1074, 1074), rotate=st.booleans())
+def test_covariance_discrepancy_is_scale_equivariant_at_powers_of_two(seed, exponent, rotate):
+    # Unscaled, the mean grams overflowed to NaN or inf from about 2**510 up
+    # and underflowed to 0.0 far below.
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((30, 5, 3))
+    if rotate:
+        # Another rotation of the same draws, as align compares them.
+        targets = samples @ random_orthogonal(3, rng)
+    else:
+        sp = random_signed_permutation(3, rng)
+        targets = np.stack([apply_signed_permutation(s, sp) for s in samples])
+    assume(_stays_normal(samples, exponent) and _stays_normal(targets, exponent))
+    unit = covariance_discrepancy(Chain(samples), Chain(targets))
+    raw, aligned = Chain(np.ldexp(samples, exponent)), Chain(np.ldexp(targets, exponent))
+    with np.errstate(over="ignore"):
+        want = np.ldexp(unit, 2 * exponent)
+    if np.isfinite(want):
+        assert covariance_discrepancy(raw, aligned) == want
+        assert build_report(raw, aligned)["covariance_discrepancy_aligned"] == want
+    else:
+        with pytest.raises(NumericalError, match="^covariance discrepancy overflows"):
+            covariance_discrepancy(raw, aligned)
+
+
+def test_covariance_discrepancy_rejects_a_chain_at_another_scale():
+    # The aligned chain's gram is brought to the raw chain's scale; one far
+    # larger overflows there and fails the L L^T check, without a warning.
+    samples = np.random.default_rng(99).standard_normal((12, 4, 2))
+    for exponent in (-1000, -600, 600, 1000):
+        with pytest.raises(ValueError, match="not a signed-permutation alignment"):
+            covariance_discrepancy(Chain(samples), Chain(np.ldexp(samples, exponent)))

@@ -81,3 +81,13 @@ def test_every_private_top_level_name_is_referenced():
                 if name.startswith("_") and not name.startswith("__") and name not in referenced
             ]
     assert unreferenced == []
+
+
+def test_the_power_of_two_rescaling_rule_has_one_implementation():
+    # Every stage that rescales to stay finite calls core.scale_exponent.
+    users = {
+        path.name
+        for path, tree in _modules("src/factoralign/*.py").items()
+        if "frexp" in _read_names(tree)
+    }
+    assert users == {"core.py"}
