@@ -262,14 +262,15 @@ def report_text(payload: dict) -> str:
 
     Lists and scalars go through ``json.dumps`` without an indent, which runs
     json's C encoder; only the dict levels are laid out here.  The text parses
-    to ``payload``.
+    to ``payload``.  It is strict JSON: a non-finite float raises ValueError
+    rather than being written as ``NaN`` or ``Infinity``.
     """
     return _layout(payload, "")
 
 
 def _layout(value, indent: str) -> str:
     if not isinstance(value, dict) or not value:
-        return json.dumps(value, sort_keys=True)
+        return json.dumps(value, sort_keys=True, allow_nan=False)
     inner = indent + "  "
     items = (f"{inner}{json.dumps(key)}: {_layout(value[key], inner)}" for key in sorted(value))
     return "{\n" + ",\n".join(items) + f"\n{indent}}}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import sys
 import time
@@ -280,7 +281,11 @@ def _cmd_align(args) -> int:
             "order": args.order,
             "pivot_index": report.pivot.index,
             "pivot_statistic": report.pivot.statistic_used.value,
-            "pivot_statistics": report.pivot.statistics.tolist(),
+            # A rank-deficient sample's condition number is +inf: null in JSON.
+            "pivot_statistics": [
+                value if math.isfinite(value) else None
+                for value in report.pivot.statistics.tolist()
+            ],
             "comparisons_per_sample": report.comparisons_per_sample,
             "total_loss": report.total_loss,
             "losses": report.losses.tolist(),

@@ -21,8 +21,15 @@ samples' working matrices over column j of its rotation, and the last
 column is an all-zero sample whose gate is +inf, so it never turns.  Each
 pair step works on every active sample at once, with real ufuncs over two
 contiguous (p + k, n + 1) blocks, but the gain gate, the objective and the
-stopping rule are each sample's own: one masked copy writes the turned
-columns back for the samples whose gain clears their gate.  A sample leaves
+stopping rule are each sample's own: a sample whose gain misses its gate, or
+whose pair is flat (below), turns by an angle of exactly 0, and every sample
+is turned in place.  A zero angle has cos 1 and sin 0, so it can change an
+entry only by adding a signed zero to it, which changes nothing but a
+-0.0.  The rotation's rows never hold -0.0: they start as the identity, and
+every turn has cos(theta) >= 1/sqrt(2).  So a zero angle leaves them
+bitwise unchanged.  It can flip the sign of a working row's zeros, but
+those signs reach only squares, products and num, where num + 0.0 erases
+them, so no angle, gain or stopping decision changes.  A sample leaves
 the active set after its first sweep that applies no rotation (converged)
 or once it has run ``max_iterations`` sweeps (not converged), so the kernel
 runs as many sweeps as its slowest sample.  For a stack, ``iterations`` is
@@ -152,7 +159,9 @@ def _finite_criteria(stack: np.ndarray, named: bool) -> np.ndarray:
     Raises :class:`NumericalError` for the first sample, in index order,
     whose objective is not finite; ``named`` puts its index in the message.
     """
-    criterion = _criteria(np.square(np.ascontiguousarray(stack.transpose(0, 2, 1))), axis=2)
+    # Squared into a new C-ordered (T, k, p) array, never in place: for k = 1
+    # ``stack`` can be a view of the caller's input.
+    criterion = _criteria(np.square(stack.transpose(0, 2, 1), order="C"), axis=2)
     finite = np.isfinite(criterion)
     if np.count_nonzero(finite) < len(finite):
         t = int(np.argmin(finite))
@@ -184,7 +193,7 @@ def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig):
         # Kaiser normalization; rotation preserves row norms, so returning
         # arr @ R already undoes the scaling.
         row_norms = np.sqrt(np.sum(scaled * scaled, axis=2))
-        scaled = scaled / np.where(row_norms > 0, row_norms, 1.0)[:, :, None]
+        scaled /= np.where(row_norms > 0, row_norms, 1.0)[:, :, None]
     # Block j holds column j of each active sample's working matrix over
     # column j of its rotation, one sample per column, and last the zero
     # sample.  numpy sums a C-contiguous (p, m) array along axis 0 one row
@@ -235,13 +244,14 @@ def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig):
             accept &= hyp > 2.0**-46 * (np.abs(pd) + np.abs(pc) + np.abs(ab2) + a2 + b2)
             applied |= accept
             # + 0.0 maps -0.0 to +0.0, so a zero numerator over a negative
-            # den turns by +pi/4, not -pi/4.
-            theta = np.arctan2(num + 0.0, den) / 4.0
-            turned = np.cos(theta) * xy
+            # den turns by +pi/4, not -pi/4.  The other samples turn by exactly
+            # 0: their rotation rows hold no -0.0, since every turn has
+            # cos(theta) >= 1/sqrt(2), so they stay bitwise as they are.
+            theta = np.arctan2(num + 0.0, den, out=np.zeros_like(num), where=accept) / 4.0
             sin_xy = np.sin(theta) * xy
-            turned[0] += sin_xy[1]  # cos x + sin y
-            turned[1] -= sin_xy[0]  # cos y - sin x
-            np.copyto(xy, turned, where=accept)
+            np.multiply(np.cos(theta), xy, out=xy)
+            np.add(xy[0], sin_xy[1], out=xy[0])  # cos x + sin y
+            np.subtract(xy[1], sin_xy[0], out=xy[1])  # cos y - sin x
 
         done = ~applied if sweep < cfg.max_iterations else np.ones_like(applied)
         done[-1] = False  # the zero sample stays

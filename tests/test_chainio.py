@@ -340,7 +340,7 @@ def test_report_layout_round_trips():
     payload = {
         "subcommand": "align",
         "alignment": {
-            "pivot_statistics": [math.inf, 1.5, -math.inf, 0.1 + 0.2],
+            "pivot_statistics": [None, 1.5, -2.5e-300, 0.1 + 0.2],
             "permutations": [{"perm": [1, 0], "signs": [-1, 1]}, {"signs": [1, 1], "perm": [0, 1]}],
             "losses": [],
             "nested": {"z": None, "a": {"deep": [[1, 2], [3]]}},
@@ -366,7 +366,7 @@ def test_report_layout_round_trips():
             '      "z": null',
             "    },",
             '    "permutations": [{"perm": [1, 0], "signs": [-1, 1]}, {"perm": [0, 1], "signs": [1, 1]}],',
-            '    "pivot_statistics": [Infinity, 1.5, -Infinity, 0.30000000000000004]',
+            '    "pivot_statistics": [null, 1.5, -2.5e-300, 0.30000000000000004]',
             "  },",
             '  "count": 3,',
             '  "flag": false,',
@@ -375,6 +375,15 @@ def test_report_layout_round_trips():
             "}",
         ]
     )
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_report_text_refuses_non_finite_floats(value):
+    # Strict JSON has no NaN or Infinity, at any depth of the report.
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report_text({"alignment": {"pivot_statistics": [1.5, value]}})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report_text({"total_loss": value})
 
 
 def test_report_is_deterministic_json(tmp_path):

@@ -26,15 +26,20 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"report holds {name}, which is not JSON")
+
+
 @pytest.fixture(autouse=True)
-def _reports_hold_no_nan(monkeypatch):
-    # json writes a NaN float as the bare word NaN, which is not JSON; every
-    # report the CLI writes or prints goes through report_text.
+def _reports_are_strict_json(monkeypatch):
+    # json can write a non-finite float as the bare word NaN, Infinity or
+    # -Infinity, which is not JSON; every report the CLI writes or prints goes
+    # through report_text, and each must parse without them.
     original = chainio.report_text
 
     def checked(payload):
         text = original(payload)
-        assert "NaN" not in text, text
+        json.loads(text, parse_constant=_refuse_constant)
         return text
 
     monkeypatch.setattr(chainio, "report_text", checked)
@@ -374,6 +379,22 @@ def test_align_natural_order_and_forced_statistic(tmp_path):
     report = json.loads((tmp_path / "nat_report.json").read_text())
     assert report["alignment"]["pivot_statistic"] == "sigma-max"
     assert report["alignment"]["comparisons_per_sample"] == 3 * 4
+
+
+def test_align_writes_a_rank_deficient_statistic_as_null(tmp_path):
+    from factoralign import Chain, orthogonalize_chain, select_pivot, write_chain
+
+    samples = np.random.default_rng(95).standard_normal((20, 6, 2))
+    samples[3, :, 1] = 0.0
+    write_chain(tmp_path / "c", Chain(samples))
+    assert run(["align", tmp_path / "c", "--out", tmp_path / "a"]) == 0
+    alignment = json.loads((tmp_path / "a_report.json").read_text())["alignment"]
+    selection = select_pivot(orthogonalize_chain(Chain(samples)))
+    assert alignment["pivot_statistic"] == "condition" and selection.statistics[3] == np.inf
+    expected = selection.statistics.tolist()
+    expected[3] = None
+    assert alignment["pivot_statistics"] == expected
+    assert alignment["pivot_index"] == selection.index
 
 
 def test_diagnose_sign_switch_toy(tmp_path):

@@ -554,7 +554,9 @@ def test_stack_rows_equal_single_calls_to_the_sign_bit(normalize, max_iterations
     # Samples 0 and 2 start converged and stop after one sweep while the
     # others turn, and sample 4 outlives all the others, so it sweeps beside
     # no other sample.  A row of -0.0 and a row of subnormals, whose products
-    # round to -0.0 in ``rotated``, make signed zeros.
+    # round to -0.0 in ``rotated``, make signed zeros.  Samples 0 and 2 turn
+    # by a zero angle on every pair step their neighbours turn on, and keep
+    # the identity rotation bit for bit.
     converged_cfg = VarimaxConfig(normalize=normalize)
     rng = np.random.default_rng(71)
     stack = rng.standard_normal((6, 12, 4))
@@ -568,6 +570,8 @@ def test_stack_rows_equal_single_calls_to_the_sign_bit(normalize, max_iterations
     cfg = VarimaxConfig(max_iterations=max_iterations, normalize=normalize)
     got = varimax_rotate(stack, cfg)
     assert np.signbit(got.rotated[got.rotated == 0.0]).any()
+    for t in (0, 2):
+        np.testing.assert_array_equal(got.rotation[t].view(np.int64), np.eye(4).view(np.int64))
     for t, m in enumerate(stack):
         one = varimax_rotate(m, cfg)
         np.testing.assert_array_equal(got.rotation[t].view(np.int64), one.rotation.view(np.int64))
