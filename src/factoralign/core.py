@@ -1,4 +1,4 @@
-"""Matrix value types, norms, signed-permutation algebra and the one rescaling rule.
+"""Matrix value types, the Frobenius norm, signed permutations and the one rescaling rule.
 
 Every stage that must stay finite at any scale of its input rescales by the
 power of two that :func:`scale_exponent` gives: varimax per sample, the
@@ -22,8 +22,6 @@ __all__ = [
     "SampleError",
     "SignedPermutation",
     "apply_signed_permutation",
-    "column_l2_norms",
-    "compose",
     "frobenius_norm",
     "random_signed_permutation",
 ]
@@ -98,12 +96,6 @@ def frobenius_norm(m) -> float:
     return float(np.sqrt(np.sum(arr * arr)))
 
 
-def column_l2_norms(m) -> np.ndarray:
-    """L2 norm of each column of ``m`` as a length-k vector."""
-    arr = validate_loadings(m)
-    return np.sqrt(np.sum(arr * arr, axis=0))
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
@@ -123,8 +115,10 @@ class SignedPermutation:
     signs: np.ndarray
 
     def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.intp)
-        signs = np.asarray(self.signs, dtype=np.int64)
+        # The values are checked as given and cast only once they are known
+        # to be whole, so 1.7 or NaN is rejected rather than truncated.
+        perm = np.asarray(self.perm)
+        signs = np.asarray(self.signs)
         if perm.ndim != 1 or signs.shape != perm.shape:
             raise ValueError("perm and signs must be 1-d vectors of equal length")
         k = perm.shape[0]
@@ -134,20 +128,12 @@ class SignedPermutation:
             raise ValueError("perm is not a bijection of 0..k-1")
         if not np.all(np.abs(signs) == 1):
             raise ValueError("signs must be +1 or -1")
-        object.__setattr__(self, "perm", _read_only(perm))
-        object.__setattr__(self, "signs", _read_only(signs))
+        object.__setattr__(self, "perm", _read_only(perm.astype(np.intp, copy=False)))
+        object.__setattr__(self, "signs", _read_only(signs.astype(np.int64, copy=False)))
 
     @property
     def k(self) -> int:
         return int(self.perm.shape[0])
-
-    @classmethod
-    def identity(cls, k: int) -> "SignedPermutation":
-        return cls(np.arange(k), np.ones(k, dtype=np.int64))
-
-    def inverse(self) -> "SignedPermutation":
-        inv = np.argsort(self.perm)
-        return SignedPermutation(inv, self.signs[inv])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedPermutation):
@@ -164,13 +150,6 @@ def apply_signed_permutation(m, sp: SignedPermutation) -> np.ndarray:
     if sp.k != arr.shape[1]:
         raise ValueError(f"signed permutation length {sp.k} does not match {arr.shape[1]} columns")
     return arr[:, sp.perm] * sp.signs
-
-
-def compose(sp1: SignedPermutation, sp2: SignedPermutation) -> SignedPermutation:
-    """The single transform equivalent to applying ``sp1`` then ``sp2``."""
-    if sp1.k != sp2.k:
-        raise ValueError(f"cannot compose signed permutations of length {sp1.k} and {sp2.k}")
-    return SignedPermutation(sp1.perm[sp2.perm], sp2.signs * sp1.signs[sp2.perm])
 
 
 def random_signed_permutation(k: int, rng: np.random.Generator) -> SignedPermutation:

@@ -27,10 +27,8 @@ __all__ = [
     "Scenario",
     "SyntheticDataset",
     "generate_dataset",
-    "generate_independent",
     "generate_sparse",
     "gibbs_sample",
-    "validate_identifiability",
 ]
 
 logger = logging.getLogger(__name__)
@@ -41,15 +39,11 @@ class Scenario(enum.Enum):
     SPARSE = "sparse"
 
 
-def validate_identifiability(p: int, k: int) -> bool:
-    """True iff k <= (p - 1) / 2, the condition for an identifiable residual."""
+def _check_identifiable(p: int, k: int) -> None:
+    """Raise ``ValueError`` unless k <= (p - 1) / 2, the condition for an identifiable residual."""
     if p < 1 or k < 1:
         raise ValueError(f"p and k must be >= 1, got p={p}, k={k}")
-    return 2 * k <= p - 1
-
-
-def _check_identifiable(p: int, k: int) -> None:
-    if not validate_identifiability(p, k):
+    if 2 * k > p - 1:
         raise ValueError(f"k={k} with p={p} violates the identifiability rule k <= (p-1)/2")
 
 
@@ -146,13 +140,6 @@ def generate_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
         true_residual_variances=variances,
         true_factors=factors,
     )
-
-
-def generate_independent(cfg: GeneratorConfig) -> SyntheticDataset:
-    """:func:`generate_dataset` for an INDEPENDENT config: every loading iid standard normal."""
-    if cfg.scenario is not Scenario.INDEPENDENT:
-        raise ValueError("config scenario must be INDEPENDENT")
-    return generate_dataset(cfg)
 
 
 def generate_sparse(cfg: GeneratorConfig) -> SyntheticDataset:

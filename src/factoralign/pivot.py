@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chain, validate_loadings
+from .core import Chain
 
 __all__ = [
     "PivotSelection",
     "PivotStatistic",
-    "condition_number",
     "select_pivot",
-    "singular_values",
 ]
 
 RANK_TOLERANCE = 1e-12
@@ -39,34 +37,6 @@ class PivotSelection:
     pivot: np.ndarray
     statistic_used: PivotStatistic
     statistics: np.ndarray
-
-
-def singular_values(m) -> np.ndarray:
-    """Singular values of a tall (p >= k) matrix in nonincreasing order."""
-    arr = validate_loadings(m)
-    p, k = arr.shape
-    if p < k:
-        raise ValueError(f"matrix must be tall (p >= k), got shape {arr.shape}")
-    return np.linalg.svd(arr, compute_uv=False)
-
-
-def _condition_numbers(svals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row sigma_max / sigma_min of ``(T, k)`` singular values, and the deficiency mask.
-
-    A row is numerically rank deficient when
-    ``sigma_min <= RANK_TOLERANCE * sigma_max``; its condition number is +inf.
-    """
-    sigma_max, sigma_min = svals[:, 0], svals[:, -1]
-    # Rank-deficient rows divide by 1.0, since their sigma_min may be zero.
-    deficient = sigma_min <= RANK_TOLERANCE * sigma_max
-    conds = np.where(deficient, np.inf, sigma_max / np.where(deficient, 1.0, sigma_min))
-    return conds, deficient
-
-
-def condition_number(m) -> float:
-    """sigma_max / sigma_min, or +inf when the matrix is numerically rank deficient."""
-    conds, _ = _condition_numbers(singular_values(m)[None])
-    return float(conds[0])
 
 
 def check_infinite_fraction_threshold(threshold: float) -> None:
@@ -100,7 +70,10 @@ def select_pivot(
     if p < k:
         raise ValueError(f"samples must be tall (p >= k), got shape {(p, k)}")
     svals = np.linalg.svd(chain.samples, compute_uv=False)
-    conds, deficient = _condition_numbers(svals)
+    sigma_max, sigma_min = svals[:, 0], svals[:, -1]
+    # Rank-deficient samples divide by 1.0, since their sigma_min may be zero.
+    deficient = sigma_min <= RANK_TOLERANCE * sigma_max
+    conds = np.where(deficient, np.inf, sigma_max / np.where(deficient, 1.0, sigma_min))
     if force_statistic is not None:
         statistic = force_statistic
     elif np.mean(deficient) > infinite_fraction_threshold:
@@ -108,7 +81,7 @@ def select_pivot(
     else:
         statistic = PivotStatistic.CONDITION_NUMBER
 
-    stats = svals[:, 0] if statistic is PivotStatistic.LARGEST_SINGULAR_VALUE else conds
+    stats = sigma_max if statistic is PivotStatistic.LARGEST_SINGULAR_VALUE else conds
     index = _lower_median_index(stats)
     return PivotSelection(
         index=index,

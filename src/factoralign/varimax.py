@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,6 @@ __all__ = [
     "VarimaxConfig",
     "VarimaxResult",
     "orthogonalize_chain",
-    "varimax_criterion",
     "varimax_rotate",
 ]
 
@@ -111,8 +111,9 @@ class VarimaxConfig:
     normalize: bool = False
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        # A fractional cap would run one more sweep than its integer part.
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
         if not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
@@ -168,15 +169,6 @@ def _finite_criteria(stack: np.ndarray, named: bool) -> np.ndarray:
         message = f"varimax objective is {criterion[t]}: fourth powers of the loadings overflow"
         raise NumericalError(f"sample {t}: {message}" if named else message)
     return criterion
-
-
-def varimax_criterion(m) -> float:
-    """Raw varimax objective: sum over columns of p*sum(x^4) - (sum(x^2))^2.
-
-    Raises :class:`NumericalError` when it overflows, as it does once
-    entries exceed about 1e77.
-    """
-    return float(_finite_criteria(validate_loadings(m)[None], named=False)[0])
 
 
 def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig):
@@ -277,7 +269,8 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
     the rotated matrix, and a convergence flag.  Non-convergence within
     ``max_iterations`` is reported, not raised.  The rotation does not
     depend on the scale of ``m``: tiny loadings rotate as they would at unit
-    scale.  ``criterion`` is ``varimax_criterion(rotated)``, computed at the
+    scale.  ``criterion`` is the raw varimax objective of ``rotated``, the
+    sum over its columns x of p*sum(x**4) - sum(x**2)**2, computed at the
     input's scale, and grows as the fourth power of that scale: for loadings
     of about 2**-270 and below it underflows to 0.0, although the rotation
     is the unit-scale one.  A single column is returned as it is.  Raises

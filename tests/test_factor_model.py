@@ -15,10 +15,8 @@ from factoralign import (
     Scenario,
     frobenius_norm,
     generate_dataset,
-    generate_independent,
     generate_sparse,
     gibbs_sample,
-    validate_identifiability,
 )
 from factoralign import factor_model
 from factoralign.factor_model import (
@@ -96,15 +94,27 @@ def loop_gibbs_sample(data, cfg: SamplerConfig, k: int) -> Chain:
     return Chain(np.array(loadings_draws), np.array(variance_draws))
 
 
+def _accepted_by_generator_and_sampler(p: int, k: int) -> None:
+    """Build a generator config and run two sampler iterations at (p, k)."""
+    GeneratorConfig(n=10, p=p, k=k, scenario=Scenario.INDEPENDENT, seed=0)
+    data = np.random.default_rng(0).standard_normal((10, p))
+    gibbs_sample(data, SamplerConfig(iterations=2, burn_in=0), k=k)
+
+
 def test_identifiability_rule():
-    assert validate_identifiability(50, 5)
-    assert validate_identifiability(3, 1)  # boundary: (3-1)/2 = 1
-    assert not validate_identifiability(4, 2)
+    _accepted_by_generator_and_sampler(50, 5)
+    _accepted_by_generator_and_sampler(3, 1)  # boundary: (3-1)/2 = 1
+    with pytest.raises(ValueError, match=r"k=2 with p=4 violates the identifiability rule"):
+        GeneratorConfig(n=10, p=4, k=2, scenario=Scenario.INDEPENDENT, seed=0)
+    with pytest.raises(ValueError, match=r"k=2 with p=4 violates the identifiability rule"):
+        gibbs_sample(np.ones((10, 4)), SamplerConfig(iterations=2, burn_in=0), k=2)
 
 
 def test_identifiability_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        validate_identifiability(0, 1)
+    with pytest.raises(ValueError, match="p and k must be >= 1"):
+        GeneratorConfig(n=10, p=0, k=1, scenario=Scenario.INDEPENDENT, seed=0)
+    with pytest.raises(ValueError, match="p and k must be >= 1"):
+        gibbs_sample(np.ones((10, 0)), SamplerConfig(iterations=2, burn_in=0), k=1)
 
 
 def test_generator_config_rejects_unidentifiable_k():
@@ -119,8 +129,8 @@ def test_generator_config_rejects_k_zero():
 
 def test_generate_independent_reproducible():
     cfg = GeneratorConfig(n=40, p=9, k=3, scenario=Scenario.INDEPENDENT, seed=123)
-    a = generate_independent(cfg)
-    b = generate_independent(cfg)
+    a = generate_dataset(cfg)
+    b = generate_dataset(cfg)
     np.testing.assert_array_equal(a.X, b.X)
     np.testing.assert_array_equal(a.true_loadings, b.true_loadings)
     np.testing.assert_array_equal(a.true_residual_variances, b.true_residual_variances)
@@ -129,7 +139,7 @@ def test_generate_independent_reproducible():
 
 def test_generate_independent_covariance_law_of_large_numbers():
     cfg = GeneratorConfig(n=50_000, p=10, k=3, scenario=Scenario.INDEPENDENT, seed=12)
-    ds = generate_independent(cfg)
+    ds = generate_dataset(cfg)
     population = ds.true_loadings @ ds.true_loadings.T + np.diag(ds.true_residual_variances)
     centered = ds.X - ds.X.mean(axis=0)
     empirical = (centered.T @ centered) / cfg.n
@@ -139,7 +149,7 @@ def test_generate_independent_covariance_law_of_large_numbers():
 
 def test_generate_independent_consistency():
     cfg = GeneratorConfig(n=25, p=8, k=2, scenario=Scenario.INDEPENDENT, seed=5)
-    ds = generate_independent(cfg)
+    ds = generate_dataset(cfg)
     residuals = ds.X - ds.true_factors @ ds.true_loadings.T
     assert ds.X.shape == (25, 8)
     assert np.all(ds.true_residual_variances > 0)
@@ -173,9 +183,9 @@ def test_generate_dataset_dispatch():
 
 
 def test_scenario_mismatch_rejected():
-    cfg = GeneratorConfig(n=15, p=7, k=2, scenario=Scenario.SPARSE, seed=1)
-    with pytest.raises(ValueError):
-        generate_independent(cfg)
+    cfg = GeneratorConfig(n=15, p=7, k=2, scenario=Scenario.INDEPENDENT, seed=1)
+    with pytest.raises(ValueError, match="SPARSE"):
+        generate_sparse(cfg)
 
 
 def test_inverse_gamma_parameterization():
@@ -233,7 +243,7 @@ def test_generator_config_rejects_non_finite_off_block_sd(value):
 
 def test_gibbs_reproducible():
     cfg = GeneratorConfig(n=60, p=9, k=2, scenario=Scenario.INDEPENDENT, seed=2)
-    ds = generate_independent(cfg)
+    ds = generate_dataset(cfg)
     scfg = SamplerConfig(iterations=50, burn_in=10, seed=99)
     a = gibbs_sample(ds.X, scfg, k=2)
     b = gibbs_sample(ds.X, scfg, k=2)
@@ -493,7 +503,7 @@ def test_gibbs_posterior_tracks_sample_covariance():
     # desk-scale posterior concentration: mean of (L L^T + Sigma) over the
     # chain stays close to the empirical covariance of the training data
     cfg = GeneratorConfig(n=500, p=20, k=3, scenario=Scenario.INDEPENDENT, seed=31)
-    ds = generate_independent(cfg)
+    ds = generate_dataset(cfg)
     chain = gibbs_sample(ds.X, SamplerConfig(iterations=5000, burn_in=500, seed=32), k=3)
     centered = ds.X - ds.X.mean(axis=0)
     empirical = (centered.T @ centered) / cfg.n

@@ -2,11 +2,14 @@
 
 They stand in for the two linter rules that deleting code most often
 breaks: an import that nothing uses any more, and a private helper that
-nothing calls any more.
+nothing calls any more.  A third keeps the public API to names that the
+package, the benchmark or a demo calls.
 """
 
 import ast
 from pathlib import Path
+
+import factoralign
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -16,15 +19,22 @@ def _modules(*patterns: str) -> dict[Path, ast.Module]:
     return {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
 
 
-def _read_names(tree: ast.Module) -> set[str]:
-    """Every name the module reads, as a bare name or an attribute, or exports in ``__all__``."""
+def _loaded_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, as a bare name or an attribute."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, (ast.Assign, ast.AugAssign)) and "__all__" in {
+    return names
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, as a bare name or an attribute, or exports in ``__all__``."""
+    names = _loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign)) and "__all__" in {
             target.id for target in ast.walk(node) if isinstance(target, ast.Name)
         }:
             names.update(
@@ -81,6 +91,15 @@ def test_every_private_top_level_name_is_referenced():
                 if name.startswith("_") and not name.startswith("__") and name not in referenced
             ]
     assert unreferenced == []
+
+
+def test_every_public_name_has_a_caller():
+    # A name the package exports must be read by the package, the benchmark
+    # or a demo; tests alone do not keep it, nor does its place in __all__.
+    read = set()
+    for tree in _modules("src/**/*.py", "bench/*.py", "demos/*.py").values():
+        read |= _loaded_names(tree)
+    assert sorted(set(factoralign.__all__) - read) == []
 
 
 def test_the_power_of_two_rescaling_rule_has_one_implementation():

@@ -7,20 +7,34 @@ from factoralign import (
     Chain,
     PivotStatistic,
     apply_signed_permutation,
-    condition_number,
     random_signed_permutation,
     select_pivot,
-    singular_values,
 )
+from factoralign.pivot import RANK_TOLERANCE
+
+
+def _statistic(m, statistic: PivotStatistic) -> float:
+    """One matrix's pivot statistic: ``select_pivot`` on a chain of that sample alone."""
+    return float(select_pivot(Chain(np.asarray(m)[None]), force_statistic=statistic).statistics[0])
+
+
+def _condition_number(m) -> float:
+    return _statistic(m, PivotStatistic.CONDITION_NUMBER)
+
+
+def _extreme_singular_values(m) -> list[float]:
+    """sigma_max and sigma_min, from the two statistics ``select_pivot`` reports."""
+    sigma_max = _statistic(m, PivotStatistic.LARGEST_SINGULAR_VALUE)
+    return [sigma_max, sigma_max / _condition_number(m)]
 
 
 def test_singular_values_identity():
-    np.testing.assert_allclose(singular_values(np.eye(3)), np.ones(3))
+    np.testing.assert_allclose(_extreme_singular_values(np.eye(3)), [1.0, 1.0])
 
 
 def test_singular_values_diagonal_case():
     m = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(singular_values(m), [3.0, 1.0])
+    np.testing.assert_allclose(_extreme_singular_values(m), [3.0, 1.0])
 
 
 def test_singular_values_match_characteristic_roots():
@@ -32,35 +46,35 @@ def test_singular_values_match_characteristic_roots():
     tr, det = gram[0, 0] + gram[1, 1], gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
     disc = math.sqrt(tr * tr - 4.0 * det)
     roots = np.array([(tr + disc) / 2.0, (tr - disc) / 2.0])
-    np.testing.assert_allclose(singular_values(m) ** 2, roots, rtol=1e-9)
+    np.testing.assert_allclose(np.square(_extreme_singular_values(m)), roots, rtol=1e-9)
 
 
 def test_singular_values_reject_wide_matrix():
-    with pytest.raises(ValueError):
-        singular_values(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="tall"):
+        select_pivot(Chain(np.ones((1, 2, 3))))
 
 
 def test_condition_number_identity():
-    assert condition_number(np.eye(3)) == pytest.approx(1.0)
+    assert _condition_number(np.eye(3)) == pytest.approx(1.0)
 
 
 def test_condition_number_diagonal_case():
     m = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    assert condition_number(m) == pytest.approx(3.0)
+    assert _condition_number(m) == pytest.approx(3.0)
 
 
 def test_condition_number_duplicate_column_is_infinite():
     col = np.arange(1.0, 5.0)
     m = np.column_stack([col, col])
-    assert condition_number(m) == math.inf
+    assert _condition_number(m) == math.inf
 
 
 def test_condition_number_invariant_under_signed_permutation():
     rng = np.random.default_rng(31)
     m = rng.standard_normal((8, 3))
     sp = random_signed_permutation(3, rng)
-    a = condition_number(m)
-    b = condition_number(apply_signed_permutation(m, sp))
+    a = _condition_number(m)
+    b = _condition_number(apply_signed_permutation(m, sp))
     assert abs(a - b) <= 1e-10 * a
 
 
@@ -154,8 +168,19 @@ def test_select_pivot_statistic_is_lower_median():
     assert np.sum(sel.statistics >= value) >= t - (t + 1) // 2 + 1
 
 
+def _per_sample_statistics(samples) -> tuple[list[float], list[float]]:
+    """One SVD per sample: each condition number, +inf when rank deficient, and each sigma_max."""
+    conds, sigma_maxes = [], []
+    for sample in samples:
+        svals = np.linalg.svd(sample, compute_uv=False)
+        deficient = svals[-1] <= RANK_TOLERANCE * svals[0]
+        conds.append(math.inf if deficient else svals[0] / svals[-1])
+        sigma_maxes.append(svals[0])
+    return conds, sigma_maxes
+
+
 def test_select_pivot_statistics_equal_per_sample_values():
-    # The stacked SVD must reproduce the per-sample functions bit for bit,
+    # The stacked SVD must reproduce one SVD per sample bit for bit,
     # including the +inf sentinel for a rank-deficient sample.
     rng = np.random.default_rng(35)
     col = rng.standard_normal(6)
@@ -165,15 +190,13 @@ def test_select_pivot_statistics_equal_per_sample_values():
     sel = select_pivot(chain)
     assert sel.statistic_used is PivotStatistic.CONDITION_NUMBER
     assert sel.statistics[-1] == math.inf
-    np.testing.assert_array_equal(sel.statistics, [condition_number(s) for s in samples])
+    np.testing.assert_array_equal(sel.statistics, _per_sample_statistics(samples)[0])
 
     # Two deficient samples of five trigger the sigma-max fallback.
     fallback = Chain(np.concatenate([samples[:3], deficient[None], deficient[None]]))
     sel = select_pivot(fallback)
     assert sel.statistic_used is PivotStatistic.LARGEST_SINGULAR_VALUE
-    np.testing.assert_array_equal(
-        sel.statistics, [singular_values(s)[0] for s in fallback.samples]
-    )
+    np.testing.assert_array_equal(sel.statistics, _per_sample_statistics(fallback.samples)[1])
 
 
 def test_select_pivot_rejects_wide_chain():
