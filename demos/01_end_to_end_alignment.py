@@ -13,13 +13,11 @@ from factoralign import (
     GeneratorConfig,
     SamplerConfig,
     Scenario,
-    align_chain,
+    align_posterior,
     covariance_discrepancy,
     generate_sparse,
     gibbs_sample,
     mean_ess_ratio,
-    orthogonalize_chain,
-    select_pivot,
 )
 
 # 1. Simulate: three variable blocks, each loading on its own factor.
@@ -41,13 +39,12 @@ switching = (share_positive >= 0.10) & (share_positive <= 0.90)
 print(f"raw chain: {switching.sum()} of {switching.size} entries show both signs >= 10%")
 
 # 3. Align: varimax each sample, pick the median-condition-number pivot,
-#    then greedily match columns with signs.
-rotated = orthogonalize_chain(raw)
-selection = select_pivot(rotated)
-aligned, report = align_chain(rotated, selection)
+#    then greedily match columns with signs. The body is the align report's.
+aligned, body, _ = align_posterior(raw)
+alignment = body["alignment"]
 print(
-    f"pivot: sample {selection.index} by {selection.statistic_used.value}, "
-    f"mean per-sample loss {report.losses.mean():.3f}"
+    f"pivot: sample {alignment['pivot_index']} by {alignment['pivot_statistic']}, "
+    f"mean per-sample loss {np.mean(alignment['losses']):.3f}"
 )
 
 # 4. Diagnose: the covariance metric compares mean(L L^T), which alignment

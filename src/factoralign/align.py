@@ -20,6 +20,11 @@ per-sample, per-column scan (``_greedy_match_stats`` in
 ``tests/test_align.py``), which counts the distances and norms the rule
 evaluates, and check the kernel against it bitwise.
 
+``align_posterior`` is the whole ``align`` pipeline in one call: it
+varimax-rotates every draw, picks the pivot, matches the chain to it and
+computes the diagnostics, and returns the aligned chain with the body and
+stage seconds of the ``align`` report.
+
 The two exact matchers exist as quality baselines and test oracles: the
 per-sample optimum from an in-package O(k^3) assignment solve (the Hungarian
 method; the package needs only numpy) and a small-k exhaustive search.  Both
@@ -36,10 +41,12 @@ import functools
 import itertools
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import diagnostics, pivot as pivot_stage, varimax
 from .core import (
     Chain,
     NumericalError,
@@ -49,12 +56,12 @@ from .core import (
     scale_exponent,
     validate_loadings,
 )
-from .pivot import PivotSelection
 
 __all__ = [
     "AlignmentReport",
     "MatchOrder",
     "align_chain",
+    "align_posterior",
     "brute_force_match",
     "exact_match_assignment",
     "greedy_match",
@@ -85,20 +92,11 @@ class AlignmentReport:
     sample's signed permutation in the :class:`SignedPermutation`
     convention: aligned column j of sample t is
     ``signs[t, j] * samples[t][:, perm[t, j]]``.
-
-    ``comparisons_per_sample`` counts the greedy rule's work per sample, as
-    the tests' per-column scan evaluates it: k(k+1) candidate distances under
-    the drop-after-match rule, plus the k ordering norms when sorting by
-    norm.  It is not the kernel's work: the one batched kernel computes all
-    2k^2 distances of every sample up front.
     """
 
     perm: np.ndarray
     signs: np.ndarray
     losses: np.ndarray
-    total_loss: float
-    pivot: PivotSelection
-    comparisons_per_sample: int
 
 
 def _checked_pair(a, pivot) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +347,7 @@ def _greedy_match_chain(
 @np.errstate(over="ignore", invalid="ignore")
 def align_chain(
     chain: Chain,
-    pivot_selection: PivotSelection,
+    pivot_selection: pivot_stage.PivotSelection,
     order: MatchOrder = MatchOrder.BY_DESCENDING_NORM,
 ) -> tuple[Chain, AlignmentReport]:
     """Greedily align every sample of an orthogonalized chain to the pivot.
@@ -369,7 +367,7 @@ def align_chain(
     pivot = chain.samples[pivot_selection.index]
 
     samples = chain.samples
-    t_len, _, k = samples.shape
+    t_len = samples.shape[0]
     perm, signs, matched_d2 = _greedy_match_chain(samples, pivot, order)
     aligned = np.take_along_axis(samples, perm[:, None, :], axis=2)
     aligned *= signs[:, None, :]
@@ -384,13 +382,63 @@ def align_chain(
     _warn_unstable_matches(np.count_nonzero(matched_d2 > _unstable_d2(pivot), axis=1), "samples")
     perm.flags.writeable = False
     signs.flags.writeable = False
+    return Chain(aligned, chain.residual_variances), AlignmentReport(perm, signs, losses)
+
+
+def align_posterior(
+    raw: Chain,
+    order: MatchOrder = MatchOrder.BY_DESCENDING_NORM,
+    force_statistic: pivot_stage.PivotStatistic | None = None,
+    infinite_fraction_threshold: float = pivot_stage.INFINITE_FRACTION_THRESHOLD,
+    config: varimax.VarimaxConfig | None = None,
+) -> tuple[Chain, dict, dict]:
+    """Align a raw posterior chain: varimax, pivot, greedy matching, then diagnostics.
+
+    The options are those of :func:`~factoralign.varimax.orthogonalize_chain`
+    (``config``), :func:`~factoralign.pivot.select_pivot` and
+    :func:`align_chain`.  Returns ``(aligned, body, seconds)``: the aligned
+    chain; the ``alignment`` and ``diagnostics`` blocks of the ``align``
+    report, the latter :func:`~factoralign.diagnostics.build_report` without
+    the raw chain's per-entry ESS; and the ``varimax``, ``pivot``, ``match``
+    and ``diagnostics`` seconds, each from the end of the stage before.
+
+    ``comparisons_per_sample`` counts the greedy rule's work per sample, as
+    the tests' per-column scan evaluates it: k(k+1) candidate distances under
+    the drop-after-match rule, plus the k ordering norms when sorting by
+    norm.  It is not the kernel's work: the one batched kernel computes all
+    2k^2 distances of every sample up front.
+    """
+    # Each stage is looked up on its module at call time, not bound at import,
+    # so that a wrapper set on the module attribute (bench/tracing.py times
+    # the stages that way) sees the call.
+    stamps = [time.perf_counter()]
+    rotated = varimax.orthogonalize_chain(raw, config)
+    stamps.append(time.perf_counter())
+    selection = pivot_stage.select_pivot(rotated, force_statistic, infinite_fraction_threshold)
+    stamps.append(time.perf_counter())
+    aligned, report = align_chain(rotated, selection, order)
+    stamps.append(time.perf_counter())
+    metrics = diagnostics.build_report(raw, aligned)
+    del metrics["per_entry_ess_raw"]
+    stamps.append(time.perf_counter())
+
+    k = raw.n_factors
     norm_evals = k if order is MatchOrder.BY_DESCENDING_NORM else 0
-    report = AlignmentReport(
-        perm=perm,
-        signs=signs,
-        losses=losses,
-        total_loss=float(np.sum(losses)),
-        pivot=pivot_selection,
-        comparisons_per_sample=k * (k + 1) + norm_evals,
-    )
-    return Chain(aligned, chain.residual_variances), report
+    alignment = {
+        "order": order.value,
+        "pivot_index": selection.index,
+        "pivot_statistic": selection.statistic_used.value,
+        # A rank-deficient sample's condition number is +inf: null in JSON.
+        "pivot_statistics": [
+            value if math.isfinite(value) else None for value in selection.statistics.tolist()
+        ],
+        "comparisons_per_sample": k * (k + 1) + norm_evals,
+        "total_loss": float(np.sum(report.losses)),
+        "losses": report.losses.tolist(),
+        "permutations": [
+            {"perm": perm, "signs": signs}
+            for perm, signs in zip(report.perm.tolist(), report.signs.tolist())
+        ],
+    }
+    seconds = dict(zip(("varimax", "pivot", "match", "diagnostics"), np.diff(stamps).tolist()))
+    return aligned, {"alignment": alignment, "diagnostics": metrics}, seconds

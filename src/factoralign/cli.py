@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import os
 import sys
 import time
@@ -21,19 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chainio
+from . import chainio, diagnostics
 from .align import (
     BRUTE_FORCE_MAX_K,
     MatchOrder,
     _checked_greedy_match,
     _warn_unstable_matches,
-    align_chain,
+    align_posterior,
     brute_force_match,
     exact_match_assignment,
     match_loss,
 )
 from .core import Chain, NumericalError, random_signed_permutation
-from .diagnostics import build_report, export_traces
 from .factor_model import (
     GeneratorConfig,
     SamplerConfig,
@@ -41,13 +39,8 @@ from .factor_model import (
     generate_dataset,
     gibbs_sample,
 )
-from .pivot import (
-    INFINITE_FRACTION_THRESHOLD,
-    PivotStatistic,
-    check_infinite_fraction_threshold,
-    select_pivot,
-)
-from .varimax import VarimaxConfig, orthogonalize_chain
+from .pivot import INFINITE_FRACTION_THRESHOLD, PivotStatistic, check_infinite_fraction_threshold
+from .varimax import VarimaxConfig
 
 __all__ = ["build_parser", "console", "main"]
 
@@ -191,13 +184,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _permutation_payload(report) -> list[dict]:
-    return [
-        {"perm": perm, "signs": signs}
-        for perm, signs in zip(report.perm.tolist(), report.signs.tolist())
-    ]
-
-
 def _check_targets(targets, inputs=()) -> None:
     """Refuse an output path that cannot be written or would overwrite an input or another output.
 
@@ -231,10 +217,6 @@ def _check_targets(targets, inputs=()) -> None:
         outputs[resolved] = (option, target)
 
 
-# The stages _cmd_align times, in order; each is reported as <stage>_seconds.
-_ALIGN_STAGES = ("read", "varimax", "pivot", "match", "write_chain", "diagnostics")
-
-
 def _cmd_align(args) -> int:
     if args.threads is not None and args.threads < 0:
         raise ValueError("--threads must be >= 0")
@@ -250,51 +232,19 @@ def _cmd_align(args) -> int:
         normalize=args.kaiser_normalize,
     )
     check_infinite_fraction_threshold(args.infinite_fraction_threshold)
-    # Seconds per stage, each from the end of the one before.
-    stamps = [time.perf_counter()]
+    force = None if args.pivot_statistic == "auto" else PivotStatistic(args.pivot_statistic)
+    start = time.perf_counter()
     raw_chain, _ = chainio.read_chain(args.chain)
-    stamps.append(time.perf_counter())
-    rotated = orthogonalize_chain(raw_chain, vconfig)
-    stamps.append(time.perf_counter())
-    selection = select_pivot(
-        rotated,
-        force_statistic=(
-            None if args.pivot_statistic == "auto" else PivotStatistic(args.pivot_statistic)
-        ),
-        infinite_fraction_threshold=args.infinite_fraction_threshold,
+    seconds = {"read": time.perf_counter() - start}
+    aligned, body, stage_seconds = align_posterior(
+        raw_chain, MatchOrder(args.order), force, args.infinite_fraction_threshold, vconfig
     )
-    stamps.append(time.perf_counter())
-    aligned, report = align_chain(rotated, selection, MatchOrder(args.order))
-    stamps.append(time.perf_counter())
+    start = time.perf_counter()
     chainio.write_chain(args.out, aligned, seed_provenance=_provenance(args))
-    stamps.append(time.perf_counter())
-    diagnostics = build_report(raw_chain, aligned)
-    del diagnostics["per_entry_ess_raw"]
-    stamps.append(time.perf_counter())
-    seconds = dict(zip(_ALIGN_STAGES, np.diff(stamps).tolist()))
+    seconds |= stage_seconds | {"write_chain": time.perf_counter() - start}
     timings = {f"{stage}_seconds": value for stage, value in seconds.items()}
     timings["elapsed_align_seconds"] = seconds["varimax"] + seconds["pivot"] + seconds["match"]
-
-    payload = {
-        "subcommand": "align",
-        "alignment": {
-            "order": args.order,
-            "pivot_index": report.pivot.index,
-            "pivot_statistic": report.pivot.statistic_used.value,
-            # A rank-deficient sample's condition number is +inf: null in JSON.
-            "pivot_statistics": [
-                value if math.isfinite(value) else None
-                for value in report.pivot.statistics.tolist()
-            ],
-            "comparisons_per_sample": report.comparisons_per_sample,
-            "total_loss": report.total_loss,
-            "losses": report.losses.tolist(),
-            "permutations": _permutation_payload(report),
-        },
-        "diagnostics": diagnostics,
-        "timings": timings,
-    }
-    chainio.write_report(report_path, payload)
+    chainio.write_report(report_path, {"subcommand": "align", **body, "timings": timings})
     print(f"wrote {chain_files[0]}/.bin and {report_path}")
     return 0
 
@@ -322,10 +272,11 @@ def _cmd_diagnose(args) -> int:
     raw = chainio.read_chain(args.raw)[0] if args.raw else None
     aligned = chainio.read_chain(args.aligned)[0] if args.aligned else None
 
-    payload = {"subcommand": "diagnose", **build_report(raw, aligned), "traces_file": None}
+    report = diagnostics.build_report(raw, aligned)
+    payload = {"subcommand": "diagnose", **report, "traces_file": None}
     if entries is not None:
         source = aligned if aligned is not None else raw
-        traces = export_traces(source, entries)
+        traces = diagnostics.export_traces(source, entries)
         labels = [f"r{i}_c{j}" for i, j in entries]
         chainio.write_traces(traces_path, traces, labels)
         payload["traces_file"] = traces_path

@@ -12,6 +12,7 @@ and sample indices are 0-based.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,19 @@ def validate_stack(m, name: str) -> np.ndarray:
         t = int(np.argmin(np.isfinite(arr).all(axis=(1, 2))))
         raise SampleError(t, f"{name} contain non-finite entries")
     return arr
+
+
+def check_integers(**values) -> None:
+    """Raise ``ValueError`` naming the first value that is not an integer.
+
+    An integer is a ``numbers.Integral``: Python and numpy integers pass, while
+    2.0, 2.5, NaN and ``"2"`` are rejected rather than truncated or left to
+    fail later inside numpy.  The configs and ``gibbs_sample`` check their counts
+    and seeds with it.
+    """
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def scale_exponent(x: np.ndarray, axis=None) -> np.ndarray:

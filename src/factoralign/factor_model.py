@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chain, NumericalError, scale_exponent
+from .core import Chain, NumericalError, check_integers, scale_exponent
 
 __all__ = [
     "GeneratorConfig",
@@ -41,6 +41,7 @@ class Scenario(enum.Enum):
 
 def _check_identifiable(p: int, k: int) -> None:
     """Raise ``ValueError`` unless k <= (p - 1) / 2, the condition for an identifiable residual."""
+    check_integers(p=p, k=k)
     if p < 1 or k < 1:
         raise ValueError(f"p and k must be >= 1, got p={p}, k={k}")
     if 2 * k > p - 1:
@@ -57,6 +58,7 @@ class GeneratorConfig:
     off_block_sd: float = 0.01
 
     def __post_init__(self):
+        check_integers(n=self.n, seed=self.seed)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         _check_identifiable(self.p, self.k)
@@ -84,6 +86,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(iterations=self.iterations, burn_in=self.burn_in, seed=self.seed)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0 <= self.burn_in < self.iterations:

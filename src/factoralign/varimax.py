@@ -77,12 +77,18 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chain, NumericalError, scale_exponent, validate_loadings, validate_stack
+from .core import (
+    Chain,
+    NumericalError,
+    check_integers,
+    scale_exponent,
+    validate_loadings,
+    validate_stack,
+)
 
 __all__ = [
     "VarimaxConfig",
@@ -112,8 +118,9 @@ class VarimaxConfig:
 
     def __post_init__(self):
         # A fractional cap would run one more sweep than its integer part.
-        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        check_integers(max_iterations=self.max_iterations)
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 

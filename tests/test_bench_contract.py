@@ -8,12 +8,16 @@ run fail; these tests catch it without running the benchmark.
 
 import ast
 import importlib
+import importlib.util
 import json
+import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import factoralign
 from factoralign.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -83,3 +87,28 @@ def test_reports_have_the_keys_the_bench_reads(tmp_path):
         assert isinstance(report["diagnostics"][key], float), key
     diagnose = json.loads((tmp_path / "d_report.json").read_text())
     assert isinstance(diagnose["covariance_discrepancy_aligned"], float)
+
+
+def test_align_stages_are_traced(tmp_path):
+    # bench/tracing.py wraps module attributes, so align must reach each stage
+    # through its module for the traced run to time it.
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    chain = np.random.default_rng(7).standard_normal((12, 7, 2))
+    factoralign.write_chain(tmp_path / "c", factoralign.Chain(chain))
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.command("align"):
+        assert main(["align", str(tmp_path / "c"), "--out", str(tmp_path / "a")]) == 0
+    names = [span.name for span in tracer.spans]
+    for stage in (
+        "varimax.orthogonalize_chain",
+        "pivot.select_pivot",
+        "align.align_chain",
+        "diagnostics.build_report",
+        "chainio.read_chain",
+        "chainio.write_chain",
+        "chainio.write_report",
+    ):
+        assert names.count(stage) == 1, (stage, names)
+    assert tracer.varimax_calls

@@ -381,6 +381,48 @@ def test_align_natural_order_and_forced_statistic(tmp_path):
     assert report["alignment"]["comparisons_per_sample"] == 3 * 4
 
 
+@pytest.mark.parametrize(
+    ("flags", "options"),
+    [
+        ([], {}),
+        (
+            ["--kaiser-normalize", "--order", "natural", "--pivot-statistic", "sigma-max"],
+            {
+                "order": factoralign.MatchOrder.NATURAL_COLUMN_ORDER,
+                "force_statistic": factoralign.PivotStatistic.LARGEST_SINGULAR_VALUE,
+                "config": factoralign.VarimaxConfig(normalize=True),
+            },
+        ),
+    ],
+    ids=["default", "non-default"],
+)
+def test_align_posterior_equals_the_cli(tmp_path, flags, options):
+    factoralign.write_chain(tmp_path / "c", _drift_k5_chain())
+    assert run(["align", tmp_path / "c", *flags, "--out", tmp_path / "a"]) == 0
+    report = json.loads((tmp_path / "a_report.json").read_text())
+    del report["timings"]
+    raw, _ = read_chain(tmp_path / "c")
+    aligned, body, seconds = factoralign.align_posterior(raw, **options)
+    library = chainio.report_text({"schema_version": 1, "subcommand": "align", **body})
+    assert library == chainio.report_text(report)
+    written, _ = read_chain(tmp_path / "a")
+    assert written.samples.tobytes() == aligned.samples.tobytes()
+    assert written.residual_variances.tobytes() == aligned.residual_variances.tobytes()
+    assert sorted(seconds) == ["diagnostics", "match", "pivot", "varimax"]
+
+
+def test_align_writes_nothing_when_diagnostics_fail(tmp_path, monkeypatch, capsys):
+    # The diagnostics run before the aligned chain is written.
+    def fail(raw, aligned):
+        raise factoralign.NumericalError("diagnostics failed")
+
+    monkeypatch.setattr(factoralign.diagnostics, "build_report", fail)
+    factoralign.write_chain(tmp_path / "c", _drift_k5_chain())
+    assert run(["align", tmp_path / "c", "--out", tmp_path / "a"]) == 4
+    assert capsys.readouterr().err == "error: diagnostics failed\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
+
+
 def test_align_writes_a_rank_deficient_statistic_as_null(tmp_path):
     from factoralign import Chain, orthogonalize_chain, select_pivot, write_chain
 

@@ -24,7 +24,7 @@ PUBLIC_API = [
     "AlignmentReport", "Chain", "ChainFileManifest", "DegenerateSeriesWarning", "FileFormatError",
     "GeneratorConfig", "MatchOrder", "NumericalError", "PivotSelection", "PivotStatistic",
     "SampleError", "SamplerConfig", "Scenario", "SignedPermutation", "SyntheticDataset",
-    "VarimaxConfig", "VarimaxResult", "align_chain", "apply_signed_permutation",
+    "VarimaxConfig", "VarimaxResult", "align_chain", "align_posterior", "apply_signed_permutation",
     "brute_force_match", "build_report", "covariance_discrepancy", "effective_sample_size",
     "exact_match_assignment", "export_traces", "frobenius_norm", "generate_dataset",
     "generate_sparse", "gibbs_sample", "greedy_match", "match_loss", "mean_ess_ratio",

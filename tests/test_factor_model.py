@@ -127,6 +127,41 @@ def test_generator_config_rejects_k_zero():
         GeneratorConfig(n=10, p=10, k=0, scenario=Scenario.INDEPENDENT, seed=0)
 
 
+# Each of these once passed construction and failed later with a TypeError
+# from inside numpy ("'float' object cannot be interpreted as an integer").
+@pytest.mark.parametrize(
+    ("name", "value"),
+    [("iterations", 5.5), ("iterations", 6.0), ("burn_in", 1.5), ("seed", 1.5), ("seed", "1")],
+)
+def test_sampler_config_rejects_non_integral_counts(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        SamplerConfig(**{"iterations": 6, "burn_in": 1, name: value})
+
+
+@pytest.mark.parametrize(
+    ("name", "value"), [("n", 20.5), ("p", 7.5), ("k", 2.0), ("seed", 1.5), ("n", np.nan)]
+)
+def test_generator_config_rejects_non_integral_counts(name, value):
+    given = {"n": 20, "p": 7, "k": 2, "seed": 0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        GeneratorConfig(scenario=Scenario.SPARSE, **given)
+
+
+def test_gibbs_rejects_a_non_integral_k():
+    data = np.random.default_rng(0).standard_normal((20, 7))
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.0$"):
+        gibbs_sample(data, SamplerConfig(iterations=5, burn_in=1), k=2.0)
+
+
+def test_configs_accept_numpy_integers():
+    cfg = GeneratorConfig(
+        n=np.int64(20), p=np.int32(7), k=np.int64(2), scenario=Scenario.SPARSE, seed=np.uint8(3)
+    )
+    data = generate_dataset(cfg).X
+    sampler = SamplerConfig(iterations=np.int64(6), burn_in=np.int32(1), seed=np.int64(4))
+    assert gibbs_sample(data, sampler, k=np.int64(2)).samples.shape == (5, 7, 2)
+
+
 def test_generate_independent_reproducible():
     cfg = GeneratorConfig(n=40, p=9, k=3, scenario=Scenario.INDEPENDENT, seed=123)
     a = generate_dataset(cfg)
