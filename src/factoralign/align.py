@@ -367,14 +367,13 @@ def align_chain(
     pivot = chain.samples[pivot_selection.index]
 
     samples = chain.samples
-    t_len = samples.shape[0]
     perm, signs, matched_d2 = _greedy_match_chain(samples, pivot, order)
     aligned = np.take_along_axis(samples, perm[:, None, :], axis=2)
     aligned *= signs[:, None, :]
     residual = aligned - pivot
     np.multiply(residual, residual, out=residual)
     # Summed over each sample's flat p*k entries, as frobenius_norm sums them.
-    losses = np.sqrt(np.add.reduce(residual.reshape(t_len, -1), axis=1))
+    losses = np.sqrt(np.add.reduce(residual.reshape(chain.n_samples, -1), axis=1))
     finite = np.isfinite(matched_d2).all(axis=1) & np.isfinite(losses)
     if not finite.all():
         raise NumericalError(f"sample {int(np.argmin(finite))}: {_NON_FINITE_DISTANCE}")

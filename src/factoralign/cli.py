@@ -31,7 +31,7 @@ from .align import (
     exact_match_assignment,
     match_loss,
 )
-from .core import Chain, NumericalError, random_signed_permutation
+from .core import Chain, NumericalError, check_seed, random_signed_permutation
 from .factor_model import (
     GeneratorConfig,
     SamplerConfig,
@@ -293,6 +293,7 @@ def _cmd_oracle_check(args) -> int:
         raise ValueError("need p >= k >= 1")
     if not (np.isfinite(args.noise) and args.noise >= 0):
         raise ValueError(f"--noise must be finite and >= 0, got {args.noise}")
+    check_seed(args.seed)
     if args.out:
         _check_targets([("--out", args.out)])
     run_brute = args.brute == "on" or (args.brute == "auto" and args.k <= BRUTE_FORCE_MAX_K)

@@ -3,7 +3,9 @@
 Every stage that must stay finite at any scale of its input rescales by the
 power of two that :func:`scale_exponent` gives: varimax per sample, the
 sampler's loading-row quotient, the exact matchers' cost table, and the
-diagnostics' covariance metric and ESS.
+diagnostics' covariance metric and ESS.  A :class:`Chain` holds its own mean
+gram, mean(L L^T) at that chain-wide scale, computed once on first use
+(:attr:`Chain.mean_gram`); the covariance metric reads it from there.
 
 Conventions: a loadings matrix is a dense ``(p, k)`` float array whose rows
 index observed variables and whose columns index latent factors.  All column
@@ -12,6 +14,7 @@ and sample indices are 0-based.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -83,11 +86,24 @@ def check_integers(**values) -> None:
     An integer is a ``numbers.Integral``: Python and numpy integers pass, while
     2.0, 2.5, NaN and ``"2"`` are rejected rather than truncated or left to
     fail later inside numpy.  The configs and ``gibbs_sample`` check their counts
-    and seeds with it.
+    with it, and :func:`check_seed` their seeds.
     """
     for name, value in values.items():
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Raise ``ValueError`` naming ``seed`` unless it is an integer >= 0.
+
+    That is what ``np.random.default_rng`` accepts.  The configs check their
+    ``seed`` with it when they are constructed, and ``oracle-check`` its
+    ``--seed`` before any work, so a bad seed never reaches numpy, whose own
+    error names no field.
+    """
+    check_integers(seed=seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def scale_exponent(x: np.ndarray, axis=None) -> np.ndarray:
@@ -179,7 +195,9 @@ class Chain:
 
     ``samples`` has shape (T, p, k); ``residual_variances``, when present,
     has shape (T, p) with strictly positive entries.  Arrays are kept as
-    read-only views, so a chain can be shared without being copied.
+    read-only views, so a chain can be shared without being copied.  The
+    arrays they view must not change after construction: the chain computes
+    its :attr:`mean_gram` once, on first use, and keeps it.
     """
 
     samples: np.ndarray
@@ -210,3 +228,18 @@ class Chain:
     @property
     def n_factors(self) -> int:
         return int(self.samples.shape[2])
+
+    @functools.cached_property
+    def mean_gram(self) -> tuple[np.ndarray, int]:
+        """mean(L L^T) at the chain's scale, as ``(G, e)`` with G = mean(L L^T) * 2**-2e.
+
+        e is the chain-wide :func:`scale_exponent`, so G is finite whatever
+        the scale of the samples.  G is read-only, and computed once per
+        chain: the first read computes it, later reads return the same pair.
+        """
+        e = scale_exponent(self.samples).item()
+        # sum_t L_t L_t^T is one product of the (p, T*k) unfolding with itself,
+        # scaled in the one C-order copy that the unfolding needs.
+        unfolded = np.ldexp(self.samples.swapaxes(0, 1), -e, order="C")
+        unfolded = unfolded.reshape(self.n_variables, -1)
+        return _read_only(unfolded @ unfolded.T / self.n_samples), e

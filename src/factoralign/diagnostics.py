@@ -12,11 +12,12 @@ of the chain's samples) and the pass holds under two payloads.
 Both metrics use the package's one power-of-two rescaling rule
 (``core.scale_exponent``).  ESS rescales each series before centring it, so
 it is exactly scale-free: a chain scaled by 2**s gives bitwise the same ESS
-while its entries stay normal floats.  The covariance metric takes its grams
-at one chain-wide scale and maps its value back, so it is scale-equivariant:
-scaling a chain by 2**s scales the metric by exactly 2**(2s), rounded once.
-It raises :class:`~factoralign.core.NumericalError` only when that value
-overflows.
+while its entries stay normal floats.  The covariance metric reads each
+chain's gram from :attr:`Chain.mean_gram <factoralign.core.Chain.mean_gram>`,
+taken at one chain-wide scale and computed once per chain, and maps its value
+back, so it is scale-equivariant: scaling a chain by 2**s scales the metric by
+exactly 2**(2s), rounded once.  It raises
+:class:`~factoralign.core.NumericalError` only when that value overflows.
 
 ``build_report`` is the one place that turns a raw and an aligned chain into
 these fields, for both the ``align`` and the ``diagnose`` report.
@@ -59,20 +60,16 @@ def build_report(raw: Chain | None, aligned: Chain | None) -> dict:
     aligned}`` and ``per_entry_ess_{raw,aligned}`` (nested lists), each None
     when its chain is missing; the ESS fields are also None for chains
     shorter than ``MIN_SERIES_LENGTH``.  Without a raw chain the aligned chain
-    is its own covariance reference.  Each chain's mean gram is computed once
-    and serves both the L L^T drift check and the discrepancy.
+    is its own covariance reference.  :func:`covariance_discrepancy` runs once
+    per chain, and each chain computes its mean gram once
+    (:attr:`Chain.mean_gram <factoralign.core.Chain.mean_gram>`), so a report
+    takes two grams, or one when there is one chain.
     """
-    chains = {"raw": raw, "aligned": aligned}
-    grams = {name: _mean_gram(chain) for name, chain in chains.items() if chain is not None}
-    reference = "raw" if raw is not None else "aligned"
+    reference = raw if raw is not None else aligned
     report = {}
-    for name, chain in chains.items():
+    for name, chain in {"raw": raw, "aligned": aligned}.items():
         report[f"covariance_discrepancy_{name}"] = (
-            None
-            if chain is None
-            else covariance_discrepancy(
-                chains[reference], chain, raw_gram=grams[reference], aligned_gram=grams[name]
-            )
+            None if chain is None else covariance_discrepancy(reference, chain)
         )
         if chain is None or chain.n_samples < MIN_SERIES_LENGTH:
             report[f"mean_ess_ratio_{name}"] = report[f"per_entry_ess_{name}"] = None
@@ -83,56 +80,34 @@ def build_report(raw: Chain | None, aligned: Chain | None) -> dict:
     return report
 
 
-def _mean_gram(chain: Chain) -> tuple[np.ndarray, int]:
-    """mean(L L^T) at the chain's scale, as ``(G, e)`` with G = mean(L L^T) * 2**-2e.
-
-    e is the chain-wide :func:`~factoralign.core.scale_exponent`, so G is
-    finite whatever the scale of the samples.
-    """
-    e = scale_exponent(chain.samples).item()
-    # sum_t L_t L_t^T is one product of the (p, T*k) unfolding with itself,
-    # scaled in the one C-order copy that the unfolding needs.
-    unfolded = np.ldexp(chain.samples.swapaxes(0, 1), -e, order="C").reshape(chain.n_variables, -1)
-    return unfolded @ unfolded.T / chain.n_samples, e
-
-
-def covariance_discrepancy(
-    raw: Chain,
-    aligned: Chain,
-    *,
-    raw_gram: tuple[np.ndarray, int] | None = None,
-    aligned_gram: tuple[np.ndarray, int] | None = None,
-) -> float:
+def covariance_discrepancy(raw: Chain, aligned: Chain) -> float:
     """Frobenius distance between mean(L L^T) and Lbar Lbar^T of the aligned chain.
 
     The first term is computed from the raw chain; because alignment only
     post-multiplies by signed permutations, the aligned chain must give the
-    same mean gram matrix, and this is asserted.  ``raw_gram`` and
-    ``aligned_gram`` are the chains' mean grams when the caller already has
-    them, each as a pair ``(G, e)``: G is mean(L L^T) * 2**-2e, with e the
-    chain's :func:`~factoralign.core.scale_exponent`.  :func:`build_report`
-    passes them so that each chain's is computed once.  The result is the
-    same either way.  Both terms are taken at the raw chain's scale 2**-e and
-    the distance is mapped back by 2**(2e), so the metric is scale-equivariant
-    and finite whenever its value is; it raises :class:`NumericalError` when
-    the value overflows.
+    same mean gram matrix, and this is asserted.  Both grams are the chains'
+    own :attr:`~factoralign.core.Chain.mean_gram`, ``(G, e)`` with G =
+    mean(L L^T) * 2**-2e at the chain's
+    :func:`~factoralign.core.scale_exponent` e, computed on a chain's first
+    call and reused by later ones.  Both terms are taken at the raw chain's
+    scale 2**-e and the distance is mapped back by 2**(2e), so the metric is
+    scale-equivariant and finite whenever its value is; it raises
+    :class:`NumericalError` when the value overflows.
     """
     if raw.samples.shape != aligned.samples.shape:
-        raise ValueError(
-            f"chain shapes differ: {raw.samples.shape} vs {aligned.samples.shape}"
-        )
-    raw_gram, e = _mean_gram(raw) if raw_gram is None else raw_gram
-    aligned_gram, aligned_e = _mean_gram(aligned) if aligned_gram is None else aligned_gram
+        raise ValueError(f"chain shapes differ: {raw.samples.shape} vs {aligned.samples.shape}")
+    g_raw, e = raw.mean_gram
+    g_aligned, e_aligned = aligned.mean_gram
     with np.errstate(over="ignore"):
         # A chain far larger than the raw one overflows here and fails the check.
-        drift = frobenius_norm(raw_gram - np.ldexp(aligned_gram, 2 * (aligned_e - e)))
-        if drift > 1e-10 * max(frobenius_norm(raw_gram), 1e-300):
+        drift = frobenius_norm(g_raw - np.ldexp(g_aligned, 2 * (e_aligned - e)))
+        if drift > 1e-10 * max(frobenius_norm(g_raw), 1e-300):
             raise ValueError(
                 "per-sample L L^T differs between the chains; 'aligned' is not a "
                 "signed-permutation alignment of 'raw'"
             )
         mean_aligned = np.ldexp(aligned.samples, -e).mean(axis=0)
-        value = float(np.ldexp(frobenius_norm(raw_gram - mean_aligned @ mean_aligned.T), 2 * e))
+        value = float(np.ldexp(frobenius_norm(g_raw - mean_aligned @ mean_aligned.T), 2 * e))
     if not np.isfinite(value):
         raise NumericalError(f"covariance discrepancy overflows at loadings of up to 2**{e}")
     return value

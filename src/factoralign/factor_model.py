@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chain, NumericalError, check_integers, scale_exponent
+from .core import Chain, NumericalError, check_integers, check_seed, scale_exponent
 
 __all__ = [
     "GeneratorConfig",
@@ -58,7 +58,8 @@ class GeneratorConfig:
     off_block_sd: float = 0.01
 
     def __post_init__(self):
-        check_integers(n=self.n, seed=self.seed)
+        check_integers(n=self.n)
+        check_seed(self.seed)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         _check_identifiable(self.p, self.k)
@@ -86,7 +87,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(iterations=self.iterations, burn_in=self.burn_in, seed=self.seed)
+        check_integers(iterations=self.iterations, burn_in=self.burn_in)
+        check_seed(self.seed)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0 <= self.burn_in < self.iterations:

@@ -83,9 +83,4 @@ def select_pivot(
 
     stats = sigma_max if statistic is PivotStatistic.LARGEST_SINGULAR_VALUE else conds
     index = _lower_median_index(stats)
-    return PivotSelection(
-        index=index,
-        pivot=chain.samples[index].copy(),
-        statistic_used=statistic,
-        statistics=stats,
-    )
+    return PivotSelection(index, chain.samples[index].copy(), statistic, stats)

@@ -89,12 +89,18 @@ def test_reports_have_the_keys_the_bench_reads(tmp_path):
     assert isinstance(diagnose["covariance_discrepancy_aligned"], float)
 
 
-def test_align_stages_are_traced(tmp_path):
-    # bench/tracing.py wraps module attributes, so align must reach each stage
-    # through its module for the traced run to time it.
+def _bench_tracing() -> types.ModuleType:
+    """``bench/tracing.py``, imported the way ``bench/run.py`` uses it."""
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     tracing = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_align_stages_are_traced(tmp_path):
+    # bench/tracing.py wraps module attributes, so align must reach each stage
+    # through its module for the traced run to time it.
+    tracing = _bench_tracing()
     chain = np.random.default_rng(7).standard_normal((12, 7, 2))
     factoralign.write_chain(tmp_path / "c", factoralign.Chain(chain))
     tracer = tracing.Tracer()
@@ -112,3 +118,24 @@ def test_align_stages_are_traced(tmp_path):
     ):
         assert names.count(stage) == 1, (stage, names)
     assert tracer.varimax_calls
+
+
+@pytest.mark.parametrize("command", ["align", "diagnose"])
+def test_diagnostics_span_counts_the_bench_checks(tmp_path, command):
+    # bench/run.py reads diagnostics.cov_calls and diagnostics.ess_calls from
+    # these spans, and bench/selfcheck.py requires cov_calls == 2: one call of
+    # the public metric per chain, whatever computes or caches the grams.
+    tracing = _bench_tracing()
+    chain = np.random.default_rng(11).standard_normal((12, 7, 2))
+    factoralign.write_chain(tmp_path / "c", factoralign.Chain(chain))
+    assert main(["align", str(tmp_path / "c"), "--out", str(tmp_path / "a")]) == 0
+    argv = {
+        "align": ["align", tmp_path / "c", "--out", tmp_path / "b"],
+        "diagnose": ["diagnose", "--raw", tmp_path / "c", "--aligned", tmp_path / "a", "--out", tmp_path / "d"],
+    }[command]
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.command(command):
+        assert main([str(arg) for arg in argv]) == 0
+    names = [span.name for span in tracer.spans]
+    assert names.count("diagnostics.covariance_discrepancy") == 2, names
+    assert names.count("diagnostics.per_entry_ess") == 2, names

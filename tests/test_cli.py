@@ -650,6 +650,32 @@ def test_output_path_that_is_a_directory_exits_2_before_any_work(
     assert _tree(tmp_path) == before
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--p", 9, "--k", 3, "--scenario", "sparse", "--seed", -1, "--out", "s"],
+        ["fit", "{data}.csv", "--k", 3, "--iterations", 30, "--burn-in", 5, "--seed", -1, "--out", "f"],
+        ["oracle-check", "--trials", 3, "--seed", -1],
+        ["oracle-check", "--trials", 3, "--seed", -1, "--out", "r.json"],
+    ],
+)
+def test_negative_seed_exits_2_naming_it_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    # Each once failed inside numpy with "error: expected non-negative
+    # integer", which names no option; fit read the whole dataset first.
+    data = simulate_small(tmp_path)
+    monkeypatch.chdir(tmp_path)
+
+    def read_dataset(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(chainio, "read_dataset", read_dataset)
+    capsys.readouterr()
+    before = _tree(tmp_path)
+    assert run([str(arg).format(data=data) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+    assert _tree(tmp_path) == before
+
+
 def test_fit_out_cannot_overwrite_its_dataset(tmp_path, monkeypatch, capsys):
     # The chain manifest <out>.json once replaced a dataset named d.json.
     data = simulate_small(tmp_path)

@@ -229,31 +229,45 @@ def test_build_report_long_chain():
 
 
 def test_build_report_takes_one_mean_gram_per_chain(monkeypatch):
-    from factoralign import diagnostics
-
     rng = np.random.default_rng(97)
-    raw = Chain(rng.standard_normal((40, 5, 3)))
+    samples = rng.standard_normal((40, 5, 3))
     sp = random_signed_permutation(3, rng)
-    aligned = Chain(np.stack([apply_signed_permutation(s, sp) for s in raw.samples]))
-    want = build_report(raw, aligned)
+    permuted = np.stack([apply_signed_permutation(s, sp) for s in samples])
+    want = build_report(Chain(samples), Chain(permuted))
     grams = []
-    original = diagnostics._mean_gram
+    cached = Chain.__dict__["mean_gram"]
+    original = cached.func
 
     def counted(chain):
         grams.append(id(chain))
         return original(chain)
 
-    monkeypatch.setattr(diagnostics, "_mean_gram", counted)
+    monkeypatch.setattr(cached, "func", counted)
+    raw, aligned = Chain(samples), Chain(permuted)
     assert build_report(raw, aligned) == want
     assert grams == [id(raw), id(aligned)]
     grams.clear()
-    build_report(None, aligned)
-    assert grams == [id(aligned)]
-    # The public metric is unchanged: it takes both grams itself.
+    alone = Chain(permuted)
+    build_report(None, alone)
+    assert grams == [id(alone)]
+    # Chains that already hold their gram compute none, and the public metric
+    # gives the report's values bitwise.
     grams.clear()
     assert covariance_discrepancy(raw, aligned) == want["covariance_discrepancy_aligned"]
     assert covariance_discrepancy(raw, raw) == want["covariance_discrepancy_raw"]
-    assert len(grams) == 4
+    assert build_report(raw, aligned) == want
+    assert grams == []
+    # The gram is mean(L L^T) * 2**-2e from one scaled (p, T*k) unfolding,
+    # the same pair on every read, and read-only.
+    gram, e = raw.mean_gram
+    assert raw.mean_gram[0] is gram
+    e_want = int(np.frexp(np.max(np.abs(samples)))[1])
+    unfolded = np.ldexp(samples.swapaxes(0, 1), -e_want, order="C").reshape(5, -1)
+    assert e == e_want
+    np.testing.assert_array_equal(gram, unfolded @ unfolded.T / 40)
+    assert not gram.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        gram[0, 0] = 0.0
 
 
 def test_build_report_rejects_mismatched_chains():

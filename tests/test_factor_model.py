@@ -153,6 +153,16 @@ def test_gibbs_rejects_a_non_integral_k():
         gibbs_sample(data, SamplerConfig(iterations=5, burn_in=1), k=2.0)
 
 
+# Each once passed construction and failed later inside numpy with
+# "expected non-negative integer", which names no field.
+@pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+def test_configs_reject_a_negative_seed(seed):
+    with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+        SamplerConfig(iterations=5, burn_in=1, seed=seed)
+    with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+        GeneratorConfig(n=20, p=7, k=2, scenario=Scenario.SPARSE, seed=seed)
+
+
 def test_configs_accept_numpy_integers():
     cfg = GeneratorConfig(
         n=np.int64(20), p=np.int32(7), k=np.int64(2), scenario=Scenario.SPARSE, seed=np.uint8(3)
