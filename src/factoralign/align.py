@@ -52,6 +52,7 @@ from .core import (
     NumericalError,
     SignedPermutation,
     apply_signed_permutation,
+    check_integers,
     frobenius_norm,
     scale_exponent,
     validate_loadings,
@@ -347,24 +348,26 @@ def _greedy_match_chain(
 @np.errstate(over="ignore", invalid="ignore")
 def align_chain(
     chain: Chain,
-    pivot_selection: pivot_stage.PivotSelection,
+    pivot_index: int,
     order: MatchOrder = MatchOrder.BY_DESCENDING_NORM,
 ) -> tuple[Chain, AlignmentReport]:
-    """Greedily align every sample of an orthogonalized chain to the pivot.
+    """Greedily align every sample of an orthogonalized chain to the pivot sample.
 
-    Returns the aligned chain (residual variances pass through unchanged;
-    they are per-variable, not per-factor) and an :class:`AlignmentReport`
-    with the applied transforms and per-sample Frobenius losses.  Matches and
-    losses equal :func:`greedy_match`'s and ``frobenius_norm``'s per sample,
-    bitwise.  Raises :class:`NumericalError` naming the first sample whose
-    matched distance or loss overflows.
+    The pivot is ``chain.samples[pivot_index]``, the index that
+    :func:`~factoralign.pivot.select_pivot` returns.  Returns the aligned
+    chain (residual variances pass through unchanged; they are per-variable,
+    not per-factor) and an :class:`AlignmentReport` with the applied
+    transforms and per-sample Frobenius losses.  Matches and losses equal
+    :func:`greedy_match`'s and ``frobenius_norm``'s per sample, bitwise.
+    Raises ``ValueError`` unless ``pivot_index`` is an integer in [0, T), and
+    :class:`NumericalError` naming the first sample whose matched distance or
+    loss overflows.
     """
-    if not 0 <= pivot_selection.index < chain.n_samples or not np.array_equal(
-        chain.samples[pivot_selection.index], pivot_selection.pivot
-    ):
-        raise ValueError("pivot selection was not drawn from this chain")
-    # Equal to a sample of the validated chain, the pivot has its shape and is finite.
-    pivot = chain.samples[pivot_selection.index]
+    check_integers(pivot_index=pivot_index)
+    if not 0 <= pivot_index < chain.n_samples:
+        raise ValueError(f"pivot_index {pivot_index} is out of range for T={chain.n_samples}")
+    # A sample of the validated chain, the pivot has its shape and is finite.
+    pivot = chain.samples[pivot_index]
 
     samples = chain.samples
     perm, signs, matched_d2 = _greedy_match_chain(samples, pivot, order)
@@ -415,7 +418,7 @@ def align_posterior(
     stamps.append(time.perf_counter())
     selection = pivot_stage.select_pivot(rotated, force_statistic, infinite_fraction_threshold)
     stamps.append(time.perf_counter())
-    aligned, report = align_chain(rotated, selection, order)
+    aligned, report = align_chain(rotated, selection.index, order)
     stamps.append(time.perf_counter())
     metrics = diagnostics.build_report(raw, aligned)
     del metrics["per_entry_ess_raw"]

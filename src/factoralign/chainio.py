@@ -1,13 +1,14 @@
 """On-disk formats: chain files, dataset CSVs, trace CSVs, and JSON reports.
 
-A chain is stored as ``<name>.json`` (the manifest) plus ``<name>.bin`` (the
-payload): T consecutive p x k matrices of little-endian float64 in
-column-major order, followed by T length-p residual-variance vectors when the
-manifest flags them.  Every float written to CSV uses repr-exact formatting
-so write -> read -> write round-trips byte-identically.  Reports are JSON with
-one sorted key per line and each list on one line (:func:`report_text`).
-Every writer stages its files in temporaries and moves them into place only
-once they are whole.
+Chains and datasets are read and written here; trace CSVs and reports are
+only written.  A chain is stored as ``<name>.json`` (the manifest) plus
+``<name>.bin`` (the payload): T consecutive p x k matrices of little-endian
+float64 in column-major order, followed by T length-p residual-variance
+vectors when the manifest flags them.  Every float written to CSV uses
+repr-exact formatting so write -> read -> write round-trips byte-identically.
+Reports are JSON with one sorted key per line and each list on one line
+(:func:`report_text`).  Every writer stages its files in temporaries and
+moves them into place only once they are whole.
 """
 
 from __future__ import annotations
@@ -213,22 +214,17 @@ def _write_csv(path, header: str, rows: np.ndarray) -> None:
             fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _read_csv(path: Path, what: str) -> tuple[np.ndarray, str]:
-    """The rows of a CSV as a 2-D float array, and its header line; ``what`` names it in errors."""
-    try:
-        with path.open() as fh, warnings.catch_warnings():
-            # An empty body is reported by the caller's error, not a warning.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            header = fh.readline().strip()
-            return np.loadtxt(fh, delimiter=",", ndmin=2), header
-    except (OSError, ValueError) as exc:
-        raise FileFormatError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def read_dataset(path) -> np.ndarray:
     """Read a dataset CSV written by :func:`write_dataset`; every entry must be finite."""
     path = Path(path)
-    data, header = _read_csv(path, "dataset")
+    try:
+        with path.open() as fh, warnings.catch_warnings():
+            # An empty body is reported by the error below, not a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            header = fh.readline().strip()
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise FileFormatError(f"cannot read dataset {path}: {exc}") from exc
     if not header.startswith("v1"):
         raise FileFormatError(f"dataset {path} is missing the v1..vp header row")
     if data.size == 0:
@@ -249,12 +245,6 @@ def write_traces(path, traces: np.ndarray, labels: list[str]) -> None:
     if traces.ndim != 2 or traces.shape[1] != len(labels):
         raise ValueError("traces must be (T, len(labels))")
     _write_csv(path, ",".join(labels), traces)
-
-
-def read_traces(path) -> tuple[np.ndarray, list[str]]:
-    """Read a trace CSV written by :func:`write_traces`: the series and their labels."""
-    data, header = _read_csv(Path(path), "traces")
-    return data, header.split(",")
 
 
 def report_text(payload: dict) -> str:

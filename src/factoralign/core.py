@@ -83,13 +83,15 @@ def validate_stack(m, name: str) -> np.ndarray:
 def check_integers(**values) -> None:
     """Raise ``ValueError`` naming the first value that is not an integer.
 
-    An integer is a ``numbers.Integral``: Python and numpy integers pass, while
-    2.0, 2.5, NaN and ``"2"`` are rejected rather than truncated or left to
-    fail later inside numpy.  The configs and ``gibbs_sample`` check their counts
-    with it, and :func:`check_seed` their seeds.
+    An integer is a ``numbers.Integral`` other than ``bool``: Python and numpy
+    integers pass, while ``True``, 2.0, 2.5, NaN and ``"2"`` are rejected
+    rather than truncated or left to fail later inside numpy.  The configs and
+    ``gibbs_sample`` check their counts with it, :func:`check_seed` their
+    seeds, ``align_chain`` its pivot index and ``export_traces`` each entry.
     """
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
+        # bool is a subclass of int, but True is not a count or an index.
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

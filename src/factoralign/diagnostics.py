@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .core import Chain, NumericalError, frobenius_norm, scale_exponent
+from .core import Chain, NumericalError, check_integers, frobenius_norm, scale_exponent
 
 __all__ = [
     "DegenerateSeriesWarning",
@@ -199,11 +199,14 @@ def export_traces(chain: Chain, entries: list[tuple[int, int]]) -> np.ndarray:
     """Extract the (T,) series of the requested 0-based (row, col) entries.
 
     Returns a (T, len(entries)) matrix with one column per requested entry.
+    Raises ``ValueError`` naming the first entry whose row or column is not an
+    integer (:func:`~factoralign.core.check_integers`) or is out of range.
     """
     if not entries:
         raise ValueError("at least one (row, col) entry is required")
     p, k = chain.n_variables, chain.n_factors
     for row, col in entries:
+        check_integers(**{f"row of entry {(row, col)}": row, f"column of entry {(row, col)}": col})
         if not (0 <= row < p and 0 <= col < k):
             raise ValueError(
                 f"entry ({row}, {col}) out of range for a {p} x {k} loadings matrix"

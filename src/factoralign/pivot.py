@@ -31,10 +31,12 @@ class PivotStatistic(enum.Enum):
 
 @dataclass(frozen=True)
 class PivotSelection:
-    """The chosen pivot, the statistic used, and every sample's statistic value."""
+    """The pivot's sample index, the statistic used, and every sample's statistic value.
+
+    The pivot itself is ``chain.samples[index]``; no copy of it is kept.
+    """
 
     index: int
-    pivot: np.ndarray
     statistic_used: PivotStatistic
     statistics: np.ndarray
 
@@ -63,7 +65,8 @@ def select_pivot(
     The statistic is the condition number unless ``force_statistic`` overrides
     it or more than ``infinite_fraction_threshold`` of the samples hit the
     +inf rank-deficiency sentinel, in which case the whole chain switches to
-    the largest singular value.
+    the largest singular value.  The pivot is the sample at the returned
+    ``index``; :func:`~factoralign.align.align_chain` takes that index.
     """
     check_infinite_fraction_threshold(infinite_fraction_threshold)
     _, p, k = chain.samples.shape
@@ -83,4 +86,4 @@ def select_pivot(
 
     stats = sigma_max if statistic is PivotStatistic.LARGEST_SINGULAR_VALUE else conds
     index = _lower_median_index(stats)
-    return PivotSelection(index, chain.samples[index].copy(), statistic, stats)
+    return PivotSelection(index, statistic, stats)

@@ -204,7 +204,7 @@ def test_criterion_6_complexity_scaling():
 
     def align_seconds(chain, selection) -> float:
         t0 = time.perf_counter()
-        align_chain(chain, selection)
+        align_chain(chain, selection.index)
         return time.perf_counter() - t0
 
     # The two sides of each ratio are timed in alternating calls, so a slow

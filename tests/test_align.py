@@ -31,7 +31,6 @@ from factoralign.align import (
     _signed_d2,
     _unstable_d2,
 )
-from factoralign.pivot import PivotSelection, PivotStatistic
 
 
 def _greedy_match_stats(
@@ -426,17 +425,17 @@ def test_align_chain_zero_loss_for_signed_permutations_of_one_matrix():
     )
     chain = Chain(samples)
     sel = select_pivot(chain)
-    aligned, report = align_chain(chain, sel)
+    aligned, report = align_chain(chain, sel.index)
     assert report.losses.max() <= 1e-10
     for t in range(chain.n_samples):
-        np.testing.assert_allclose(aligned.samples[t], sel.pivot, atol=1e-12)
+        np.testing.assert_allclose(aligned.samples[t], chain.samples[sel.index], atol=1e-12)
 
 
 def test_align_chain_preserves_gram_matrices():
     rng = np.random.default_rng(54)
     chain = Chain(rng.standard_normal((6, 10, 3)))
     sel = select_pivot(chain)
-    aligned, _ = align_chain(chain, sel)
+    aligned, _ = align_chain(chain, sel.index)
     for t in range(6):
         gram = chain.samples[t] @ chain.samples[t].T
         drift = frobenius_norm(aligned.samples[t] @ aligned.samples[t].T - gram)
@@ -459,13 +458,15 @@ def test_align_chain_report_invariants():
     assert alignment["permutations"][index] == {"perm": [0, 1, 2, 3], "signs": [1, 1, 1, 1]}
 
 
-def test_align_chain_rejects_foreign_pivot():
+def test_align_chain_rejects_a_pivot_index_outside_the_chain():
     rng = np.random.default_rng(57)
     chain = Chain(rng.standard_normal((4, 6, 2)))
-    sel = select_pivot(chain)
-    other = Chain(rng.standard_normal((4, 6, 2)))
-    with pytest.raises(ValueError, match="not drawn from this chain"):
-        align_chain(other, sel)
+    for index in (-1, 4):
+        with pytest.raises(ValueError, match=rf"pivot_index {index} .* T=4"):
+            align_chain(chain, index)
+    for index in (1.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            align_chain(chain, index)
 
 
 def test_align_chain_passes_residual_variances_through():
@@ -473,12 +474,12 @@ def test_align_chain_passes_residual_variances_through():
     variances = rng.uniform(0.1, 3.0, size=(5, 7))
     chain = Chain(rng.standard_normal((5, 7, 2)), residual_variances=variances)
     sel = select_pivot(chain)
-    aligned, _ = align_chain(chain, sel)
+    aligned, _ = align_chain(chain, sel.index)
     np.testing.assert_array_equal(aligned.residual_variances, variances)
 
 
 def _chain_with_ties(rng, t_len, p, k, scale):
-    """Random samples in which some carry exact or rounding-level distance ties.
+    """A chain, and its pivot index, in which some samples carry exact or rounding-level ties.
 
     Exact ties come from zero columns, duplicated and negated columns, and
     samples that are the pivot or a signed permutation of it.  A column at
@@ -509,14 +510,7 @@ def _chain_with_ties(rng, t_len, p, k, scale):
             for j in range(k):
                 h1, h2 = rng.integers(k, size=2)
                 samples[t, :, j] = 0.5 * (pivot[:, h1] + rng.choice([-1.0, 1.0]) * pivot[:, h2])
-    chain = Chain(samples)
-    selection = PivotSelection(
-        index=pivot_index,
-        pivot=chain.samples[pivot_index].copy(),
-        statistic_used=PivotStatistic.CONDITION_NUMBER,
-        statistics=np.zeros(t_len),
-    )
-    return chain, selection
+    return Chain(samples), pivot_index
 
 
 @settings(
@@ -533,28 +527,29 @@ def _chain_with_ties(rng, t_len, p, k, scale):
 def test_align_chain_equals_per_sample_greedy(caplog, seed, t_len, k, extra_rows, exponent, order):
     p = min(k + extra_rows, 30)
     rng = np.random.default_rng(seed)
-    chain, selection = _chain_with_ties(rng, t_len, p, k, 10.0**exponent)
+    chain, pivot_index = _chain_with_ties(rng, t_len, p, k, 10.0**exponent)
+    pivot = chain.samples[pivot_index]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="factoralign.align"):
-        aligned, report = align_chain(chain, selection, order)
+        aligned, report = align_chain(chain, pivot_index, order)
     records = list(caplog.records)
 
     assert report.perm.shape == report.signs.shape == (t_len, k)
     assert report.perm.dtype == np.intp and report.signs.dtype == np.int64
     unstable = 0
     for t in range(t_len):
-        sp, n_dist, n_norm, n_unstable = _greedy_match_stats(chain.samples[t], selection.pivot, order)
+        sp, n_dist, n_norm, n_unstable = _greedy_match_stats(chain.samples[t], pivot, order)
         expected = apply_signed_permutation(chain.samples[t], sp)
         assert np.array_equal(report.perm[t], sp.perm)
         assert np.array_equal(report.signs[t], sp.signs)
         assert np.array_equal(aligned.samples[t], expected)
-        assert report.losses[t] == frobenius_norm(expected - selection.pivot)
+        assert report.losses[t] == frobenius_norm(expected - pivot)
         unstable += n_unstable
         # The public single-sample call: same match, and one warning exactly
         # when the oracle counts unstable columns.
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="factoralign.align"):
-            assert greedy_match(chain.samples[t], selection.pivot, order) == sp
+            assert greedy_match(chain.samples[t], pivot, order) == sp
         assert [r.args[0] for r in caplog.records] == ([n_unstable] if n_unstable else [])
     if unstable:
         assert len(records) == 1 and records[0].args[0] == unstable
@@ -569,7 +564,7 @@ def test_align_chain_equals_per_sample_greedy(caplog, seed, t_len, k, extra_rows
 def test_align_chain_report_arrays_are_read_only():
     rng = np.random.default_rng(59)
     chain = Chain(rng.standard_normal((4, 6, 3)))
-    _, report = align_chain(chain, select_pivot(chain))
+    _, report = align_chain(chain, select_pivot(chain).index)
     for arr in (report.perm, report.signs):
         with pytest.raises(ValueError):
             arr[0, 0] = 0
@@ -582,7 +577,7 @@ def test_overflowing_distances_raise_numerical_error(scale):
     rng = np.random.default_rng(60)
     chain = Chain(scale * rng.standard_normal((20, 6, 2)))
     with pytest.raises(NumericalError, match="sample 0: matching distance"):
-        align_chain(chain, select_pivot(chain))
+        align_chain(chain, select_pivot(chain).index)
     with pytest.raises(NumericalError, match="matching distance"):
         greedy_match(chain.samples[3], chain.samples[0])
 
@@ -595,6 +590,5 @@ def test_overflowing_loss_names_the_first_bad_sample():
     samples[2] = 1.2e154
     samples[3] = 1.3e154
     chain = Chain(samples)
-    selection = PivotSelection(0, chain.samples[0].copy(), PivotStatistic.CONDITION_NUMBER, np.zeros(4))
     with pytest.raises(NumericalError, match="sample 2: matching distance"):
-        align_chain(chain, selection)
+        align_chain(chain, 0)

@@ -199,6 +199,24 @@ def test_export_traces_out_of_range():
         export_traces(chain, [(0, 2)])
 
 
+# Each once indexed the samples: (True, 0) returned a (T, 1, k) array, and the
+# others raised numpy's IndexError, which names no entry.
+@pytest.mark.parametrize(
+    ("entry", "message"),
+    [
+        ((True, 0), r"^row of entry \(True, 0\) must be an integer, got True$"),
+        ((0, False), r"^column of entry \(0, False\) must be an integer, got False$"),
+        ((0, 0.5), r"^column of entry \(0, 0\.5\) must be an integer, got 0\.5$"),
+        ((1.0, 1), r"^row of entry \(1\.0, 1\) must be an integer, got 1\.0$"),
+    ],
+    ids=["true-row", "false-column", "half-column", "float-row"],
+)
+def test_export_traces_rejects_a_non_integer_entry(entry, message):
+    chain = Chain(np.ones((4, 3, 2)))
+    with pytest.raises(ValueError, match=message):
+        export_traces(chain, [(0, 0), entry])
+
+
 REPORT_KEYS = {
     "covariance_discrepancy_raw",
     "covariance_discrepancy_aligned",

@@ -163,6 +163,17 @@ def test_configs_reject_a_negative_seed(seed):
         GeneratorConfig(n=20, p=7, k=2, scenario=Scenario.SPARSE, seed=seed)
 
 
+# bool is a subclass of int, so True once passed as a count or seed of 1.
+@pytest.mark.parametrize("value", [True, False])
+def test_configs_reject_a_bool_count_or_seed(value):
+    with pytest.raises(ValueError, match=f"^iterations must be an integer, got {value}$"):
+        SamplerConfig(iterations=value, burn_in=0)
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {value}$"):
+        SamplerConfig(iterations=5, burn_in=1, seed=value)
+    with pytest.raises(ValueError, match=f"^k must be an integer, got {value}$"):
+        GeneratorConfig(n=20, p=7, k=value, scenario=Scenario.SPARSE, seed=0)
+
+
 def test_configs_accept_numpy_integers():
     cfg = GeneratorConfig(
         n=np.int64(20), p=np.int32(7), k=np.int64(2), scenario=Scenario.SPARSE, seed=np.uint8(3)

