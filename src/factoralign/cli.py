@@ -4,8 +4,9 @@ Every subcommand is deterministic given its flags and seed.  ``align
 --threads`` is accepted for compatibility and has no effect.  Exit codes:
 0 success, 2 invalid arguments or an output that cannot be written, 3
 input-format error, 4 numeric failure.  Among the exit-2 cases, each found
-before any work: an ``--out`` that is empty or ends in a path separator, and
-a ``fit --out`` whose chain files would overwrite the dataset.
+before any work: an ``--out`` or ``align --report`` that is empty or ends in
+a path separator, and a ``fit --out`` whose chain files would overwrite the
+dataset.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def _check_targets(targets, inputs=()) -> None:
 def _cmd_align(args) -> int:
     if args.threads is not None and args.threads < 0:
         raise ValueError("--threads must be >= 0")
-    report_path = args.report if args.report else f"{args.out}_report.json"
+    report_path = f"{args.out}_report.json" if args.report is None else args.report
     chain_files = chainio.chain_paths(args.out)
     _check_targets(
         [("--out", path) for path in chain_files] + [("--report", report_path)],
@@ -315,12 +316,14 @@ def _cmd_oracle_check(args) -> int:
     losses = {name: [] for name in matchers}
     seconds = {name: [] for name in matchers}
     rng = np.random.default_rng(args.seed)
-    for _ in range(args.trials):
+    for trial in range(args.trials):
         pivot = rng.standard_normal((args.p, args.k))
         sp = random_signed_permutation(args.k, rng)
-        sample = pivot[:, sp.perm] * sp.signs + args.noise * rng.standard_normal(
-            (args.p, args.k)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports overflow
+            noise = args.noise * rng.standard_normal((args.p, args.k))
+            sample = pivot[:, sp.perm] * sp.signs + noise
+        if not np.isfinite(sample).all():
+            raise NumericalError(f"trial {trial}: --noise {args.noise} overflows the sample")
         for name, match in matchers.items():
             start = time.perf_counter()
             matched = match(sample, pivot)
@@ -386,8 +389,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         # basename is empty for "" and for a path ending in a separator.
-        if args.out is not None and not os.path.basename(args.out):
-            raise ValueError(f"--out {args.out!r} must end in a file name or prefix")
+        for option in ("out", "report"):
+            path = getattr(args, option, None)
+            if path is not None and not os.path.basename(path):
+                raise ValueError(f"--{option} {path!r} must end in a file name or prefix")
         return _HANDLERS[args.subcommand](args)
     except (chainio.FileFormatError, NumericalError, ValueError, OSError) as exc:
         # Readers report their OSErrors as FileFormatError, so the others come from writing.

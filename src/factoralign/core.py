@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "Chain",
     "NumericalError",
-    "SampleError",
     "SignedPermutation",
     "apply_signed_permutation",
     "frobenius_norm",
@@ -37,18 +36,6 @@ class NumericalError(RuntimeError):
     Raised for overflow and for an ill-conditioned sampler posterior, as
     opposed to input that is invalid on its face (``ValueError``).
     """
-
-
-class SampleError(ValueError):
-    """A per-sample failure inside a chain-level operation.
-
-    Carries the offending sample index so batch operations can report
-    exactly which posterior draw was bad.
-    """
-
-    def __init__(self, index: int, message: str):
-        super().__init__(f"sample {index}: {message}")
-        self.index = index
 
 
 def validate_loadings(m, name: str = "loadings") -> np.ndarray:
@@ -67,7 +54,8 @@ def validate_loadings(m, name: str = "loadings") -> np.ndarray:
 def validate_stack(m, name: str) -> np.ndarray:
     """Coerce ``m`` to a float64 (T, p, k) stack and check the type invariants.
 
-    Raises :class:`SampleError` naming the first sample with a non-finite entry.
+    Raises ``ValueError("sample t: ...")`` naming the first sample with a
+    non-finite entry.
     """
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 3:
@@ -76,7 +64,7 @@ def validate_stack(m, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be non-empty in every dimension, got {arr.shape}")
     if not np.isfinite(arr).all():
         t = int(np.argmin(np.isfinite(arr).all(axis=(1, 2))))
-        raise SampleError(t, f"{name} contain non-finite entries")
+        raise ValueError(f"sample {t}: {name} contain non-finite entries")
     return arr
 
 

@@ -118,6 +118,7 @@ def block_sizes(p: int, k: int) -> list[int]:
     return [base + 1 if b < remainder else base for b in range(k)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the check below reports overflow
 def generate_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
     """Draw a dataset of ``cfg``'s scenario from one generator seeded by ``cfg.seed``.
 
@@ -125,7 +126,9 @@ def generate_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
     normal.  SPARSE splits the variables into k contiguous blocks, each
     loading mainly on one factor: within-block loadings on the block's factor
     are standard normal and every other loading is N(0, off_block_sd^2).  The
-    residual variances, factors and noise follow, in that order.
+    residual variances, factors and noise follow, in that order.  Raises
+    :class:`NumericalError` when the loadings, the variances or the data
+    overflow, as a huge ``off_block_sd`` makes them.
     """
     rng = np.random.default_rng(cfg.seed)
     if cfg.scenario is Scenario.SPARSE:
@@ -138,9 +141,12 @@ def generate_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
         loadings = rng.standard_normal((cfg.p, cfg.k))
     variances = _draw_inverse_gamma(rng, 0.5, 0.5, size=cfg.p)
     factors = rng.standard_normal((cfg.n, cfg.k))
-    noise = rng.standard_normal((cfg.n, cfg.p)) * np.sqrt(variances)
+    x = factors @ loadings.T + rng.standard_normal((cfg.n, cfg.p)) * np.sqrt(variances)
+    for name, values in (("loadings", loadings), ("residual variances", variances), ("data", x)):
+        if not np.isfinite(values).all():
+            raise NumericalError(f"generated {name} are not finite")
     return SyntheticDataset(
-        X=factors @ loadings.T + noise,
+        X=x,
         true_loadings=loadings,
         true_residual_variances=variances,
         true_factors=factors,

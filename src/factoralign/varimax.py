@@ -167,8 +167,8 @@ def _finite_criteria(stack: np.ndarray, named: bool) -> np.ndarray:
     Raises :class:`NumericalError` for the first sample, in index order,
     whose objective is not finite; ``named`` puts its index in the message.
     """
-    # Squared into a new C-ordered (T, k, p) array, never in place: for k = 1
-    # ``stack`` can be a view of the caller's input.
+    # Squared into a C-ordered (T, k, p) array, so each column's sum over p
+    # runs over contiguous memory whatever T is, as in a single-matrix call.
     criterion = _criteria(np.square(stack.transpose(0, 2, 1), order="C"), axis=2)
     finite = np.isfinite(criterion)
     if np.count_nonzero(finite) < len(finite):
@@ -179,12 +179,14 @@ def _finite_criteria(stack: np.ndarray, named: bool) -> np.ndarray:
 
 
 def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig):
-    """Cyclic pair sweeps over a validated (T, p, k) stack with k >= 2.
+    """Cyclic pair sweeps over a validated (T, p, k) stack.
 
     Returns ``rotation``, ``sweeps`` and ``converged``, each with a leading
-    T axis.  Each sample is rotated at the power-of-two scale that puts its
-    largest |entry| in [0.5, 1) (:func:`~factoralign.core.scale_exponent`,
-    see the module docstring), so no step of the sweep can overflow.
+    T axis.  They start at the identity, 0 and True, so a single column,
+    which has no pair to turn, keeps them.  Each sample is rotated at the
+    power-of-two scale that puts its largest |entry| in [0.5, 1)
+    (:func:`~factoralign.core.scale_exponent`, see the module docstring), so
+    no step of the sweep can overflow.
     """
     t_len, p, k = arr.shape
     scaled = np.ldexp(arr, -scale_exponent(arr, axis=(1, 2)))
@@ -202,14 +204,14 @@ def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig):
     state[:, :p, :t_len] = scaled.transpose(2, 1, 0)
     state[:, p:, :t_len] = np.eye(k)[:, :, None]
     ids = np.arange(t_len)  # sample index of each active column but the last
-    # Filled as samples finish.
-    rotation = np.empty((t_len, k, k))
-    sweeps = np.empty(t_len, dtype=np.int64)
-    converged = np.empty(t_len, dtype=bool)
+    # Overwritten as samples finish.
+    rotation = np.tile(np.eye(k), (t_len, 1, 1))
+    sweeps = np.zeros(t_len, dtype=np.int64)
+    converged = np.ones(t_len, dtype=bool)
 
     pairs = [(a, b) for a in range(k - 1) for b in range(a + 1, k)]
     sweep = 0
-    while ids.size:
+    while ids.size and pairs:
         sweep += 1
         # A rotation is skipped unless its predicted gain clears this gate, so
         # a no-op sweep bounds the relative criterion improvement by the
@@ -280,23 +282,19 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
     sum over its columns x of p*sum(x**4) - sum(x**2)**2, computed at the
     input's scale, and grows as the fourth power of that scale: for loadings
     of about 2**-270 and below it underflows to 0.0, although the rotation
-    is the unit-scale one.  A single column is returned as it is.  Raises
-    :class:`NumericalError` when the objective of the rotated matrix
-    overflows, as it does once entries exceed about 1e77.  For a stack,
-    errors name the first bad sample: :class:`SampleError` for non-finite
-    entries and ``NumericalError("sample t: ...")`` for overflow.
+    is the unit-scale one.  Every column count runs the same kernel; a
+    single column has no pair to turn, so it is returned as it is, after 0
+    sweeps.  Raises :class:`NumericalError` when the objective of the
+    rotated matrix overflows, as it does once entries exceed about 1e77.
+    For a stack, errors name the first bad sample in their message:
+    ``ValueError("sample t: ...")`` for non-finite entries and
+    ``NumericalError("sample t: ...")`` for overflow.
     """
     cfg = config or VarimaxConfig()
     arr = np.asarray(m, dtype=np.float64)
     named = arr.ndim == 3
     stack = validate_stack(arr, "loadings") if named else validate_loadings(arr)[None]
-    t_len, _, k = stack.shape
-    if k == 1:
-        rotation = np.ones((t_len, 1, 1))
-        sweeps = np.zeros(t_len, dtype=np.int64)
-        converged = np.ones(t_len, dtype=bool)
-    else:
-        rotation, sweeps, converged = _rotate_stack(stack, cfg)
+    rotation, sweeps, converged = _rotate_stack(stack, cfg)
     rotated = stack @ rotation
     criterion = _finite_criteria(rotated, named)
     if not named:

@@ -238,6 +238,27 @@ def test_fit_overflow_prints_only_the_error_line(tmp_path):
     assert done.stderr == "error: loading-row precision at iteration 0, row 0 is not finite\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["simulate", "--n", 10, "--p", 9, "--k", 2, "--scenario", "sparse", "--off-block-sd", 1e308],
+            "generated loadings are not finite",
+        ),
+        (["oracle-check", "--noise", 1e308], "trial 0: --noise 1e+308 overflows the sample"),
+        (["oracle-check", "--noise", 1e160], "matching distance to the pivot is not finite"),
+    ],
+    ids=["simulate", "oracle-check-1e308", "oracle-check-1e160"],
+)
+def test_generator_overflow_prints_only_the_error_line(tmp_path, argv, message):
+    # simulate once printed two RuntimeWarnings, wrote a dataset holding -inf
+    # and exited 2; oracle-check at --noise 1e308 printed a RuntimeWarning
+    # and exited 2, while 1e160 exited 4.
+    done = _run_fresh(argv + ["--out", tmp_path / "out"])
+    assert (done.returncode, done.stdout, done.stderr) == (4, "", f"error: {message}\n")
+    assert _tree(tmp_path) == {}
+
+
 def test_align_produces_chain_and_report(tmp_path):
     data = simulate_small(tmp_path)
     chain_prefix = fit_small(tmp_path, data)
@@ -673,6 +694,19 @@ def test_negative_seed_exits_2_naming_it_before_any_work(tmp_path, monkeypatch, 
     before = _tree(tmp_path)
     assert run([str(arg).format(data=data) for arg in argv]) == 2
     assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("report", ["", "sub/"])
+def test_align_report_that_names_no_file_exits_2_before_any_work(tmp_path, monkeypatch, capsys, report):
+    # "" once wrote <out>_report.json, and sub/ wrote the report as a file named sub.
+    chain = fit_small(tmp_path, simulate_small(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    before = _tree(tmp_path)
+    assert run(["align", chain, "--out", "a", "--report", report]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --report {report!r} must end in a file name or prefix\n"
     assert _tree(tmp_path) == before
 
 

@@ -23,7 +23,7 @@ from factoralign.core import scale_exponent
 PUBLIC_API = [
     "AlignmentReport", "Chain", "ChainFileManifest", "DegenerateSeriesWarning", "FileFormatError",
     "GeneratorConfig", "MatchOrder", "NumericalError", "PivotSelection", "PivotStatistic",
-    "SampleError", "SamplerConfig", "Scenario", "SignedPermutation", "SyntheticDataset",
+    "SamplerConfig", "Scenario", "SignedPermutation", "SyntheticDataset",
     "VarimaxConfig", "VarimaxResult", "align_chain", "align_posterior", "apply_signed_permutation",
     "brute_force_match", "build_report", "covariance_discrepancy", "effective_sample_size",
     "exact_match_assignment", "export_traces", "frobenius_norm", "generate_dataset",

@@ -297,6 +297,14 @@ def test_generator_config_rejects_non_finite_off_block_sd(value):
         GeneratorConfig(n=10, p=7, k=2, scenario=Scenario.SPARSE, seed=0, off_block_sd=value)
 
 
+def test_generate_dataset_raises_on_overflow():
+    # A finite off_block_sd can still overflow the loadings, and the dataset
+    # once came back holding -inf.
+    cfg = GeneratorConfig(n=10, p=9, k=2, scenario=Scenario.SPARSE, seed=0, off_block_sd=1e308)
+    with pytest.raises(NumericalError, match="^generated loadings are not finite$"):
+        generate_dataset(cfg)
+
+
 def test_gibbs_reproducible():
     cfg = GeneratorConfig(n=60, p=9, k=2, scenario=Scenario.INDEPENDENT, seed=2)
     ds = generate_dataset(cfg)

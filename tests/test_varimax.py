@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from factoralign import (
     Chain,
     NumericalError,
-    SampleError,
     VarimaxConfig,
     VarimaxResult,
     apply_signed_permutation,
@@ -393,7 +392,7 @@ def test_orthogonalize_chain_reports_failing_sample_index():
     bad[1, 0, 0] = np.inf
     # bypass Chain validation to exercise the per-sample error path
     object.__setattr__(chain, "samples", bad)
-    with pytest.raises(SampleError, match="sample 1"):
+    with pytest.raises(ValueError, match="sample 1"):
         orthogonalize_chain(chain)
 
 
@@ -617,12 +616,11 @@ def test_stack_names_first_non_finite_sample():
     stack = np.ones((5, 4, 2))
     stack[3, 0, 0] = np.nan
     stack[1, 2, 1] = np.inf
-    with pytest.raises(SampleError, match="^sample 1: ") as info:
+    with pytest.raises(ValueError, match="^sample 1: "):
         varimax_rotate(stack)
-    assert info.value.index == 1
     chain = Chain(np.ones((5, 4, 2)))
     object.__setattr__(chain, "samples", stack)  # bypass Chain validation
-    with pytest.raises(SampleError, match="^sample 1: "):
+    with pytest.raises(ValueError, match="^sample 1: "):
         orthogonalize_chain(chain)
 
 
