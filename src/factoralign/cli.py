@@ -253,10 +253,11 @@ def _cmd_align(args) -> int:
 def _parse_trace_entries(spec: str) -> list[tuple[int, int]]:
     entries = []
     for item in spec.split(";"):
-        parts = item.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"trace entry {item!r} is not of the form row,col")
-        entries.append((int(parts[0]), int(parts[1])))
+        try:
+            row, col = map(int, item.split(","))
+        except ValueError:
+            raise ValueError(f"trace entry {item!r} is not of the form row,col") from None
+        entries.append((row, col))
     return entries
 
 
@@ -326,7 +327,10 @@ def _cmd_oracle_check(args) -> int:
             raise NumericalError(f"trial {trial}: --noise {args.noise} overflows the sample")
         for name, match in matchers.items():
             start = time.perf_counter()
-            matched = match(sample, pivot)
+            try:
+                matched = match(sample, pivot)
+            except NumericalError as exc:
+                raise NumericalError(f"trial {trial}: {exc}") from exc
             seconds[name].append(time.perf_counter() - start)
             losses[name].append(match_loss(sample, matched, pivot))
 

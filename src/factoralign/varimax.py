@@ -13,9 +13,10 @@ num = p*d - 2*a*b and den = p*c - (a*a - b*b), and the turn maps x, y to
 cos(theta)*x + sin(theta)*y and cos(theta)*y - sin(theta)*x, for the working
 columns and the rotation's columns alike.
 
-Stacks.  ``varimax_rotate`` takes one (p, k) matrix or a (T, p, k) stack of
-samples; a single matrix is rotated as a stack of one, by the same kernel.
-The kernel holds the stack as one real (k, p + k, n + 1) state with the
+Stacks.  ``varimax_rotate`` takes a (T, p, k) stack of samples, and every
+field of its result but ``iterations`` and ``converged`` keeps the sample
+axis; a caller with one matrix passes ``m[None]`` and reads row 0.  The
+kernel holds the stack as one real (k, p + k, n + 1) state with the
 sample axis innermost: block j holds column j of each of the n active
 samples' working matrices over column j of its rotation, and the last
 column is an all-zero sample whose gate is +inf, so it never turns.  Each
@@ -32,16 +33,16 @@ those signs reach only squares, products and num, where num + 0.0 erases
 them, so no angle, gain or stopping decision changes.  A sample leaves
 the active set after its first sweep that applies no rotation (converged)
 or once it has run ``max_iterations`` sweeps (not converged), so the kernel
-runs as many sweeps as its slowest sample.  For a stack, ``iterations`` is
-the number of sweeps the kernel ran, the largest per-sample count, and
+runs as many sweeps as its slowest sample.  ``iterations`` is the number
+of sweeps the kernel ran, the largest per-sample count, and
 ``converged`` tells whether every sample converged; ``sample_iterations``
 and ``sample_converged`` hold both per sample.
 
-Each sample of a stack call equals the single-matrix call on it, bitwise,
-by two invariants of the layout.  numpy sums a C-contiguous (p, m) array
-along axis 0 one row at a time when m >= 2, but pairwise when m = 1; the
-zero sample keeps m >= 2, so a sample's sums do not depend on how many
-other samples are active.  And finished samples are compacted away with
+Each sample's result equals, bitwise, the result for a stack of that
+sample alone, by two invariants of the layout.  numpy sums a C-contiguous
+(p, m) array along axis 0 one row at a time when m >= 2, but pairwise when
+m = 1; the zero sample keeps m >= 2, so a sample's sums do not depend on
+how many other samples are active.  And finished samples are compacted away with
 ``np.compress``, whose result is C-contiguous: boolean indexing would put p
 innermost and make the sums pairwise again.
 
@@ -86,7 +87,6 @@ from .core import (
     NumericalError,
     check_integers,
     scale_exponent,
-    validate_loadings,
     validate_stack,
 )
 
@@ -127,20 +127,19 @@ class VarimaxConfig:
 
 @dataclass(frozen=True)
 class VarimaxResult:
-    """What :func:`varimax_rotate` returns.
+    """What :func:`varimax_rotate` returns for a (T, p, k) stack.
 
-    For a (p, k) input ``rotated`` is (p, k), ``rotation`` (k, k) and
-    ``criterion`` a float; for a (T, p, k) stack they are (T, p, k),
-    (T, k, k) and (T,).  ``sample_iterations`` and ``sample_converged`` are
-    (T,) arrays of sweep counts and convergence flags, with T = 1 for a
-    single matrix.  ``iterations`` is their maximum, the sweeps the kernel
-    ran, and ``converged`` whether every sample converged.
+    ``rotated`` is (T, p, k), ``rotation`` (T, k, k), and ``criterion``,
+    ``sample_iterations`` and ``sample_converged`` are (T,) arrays of
+    objectives, sweep counts and convergence flags.  ``iterations`` is the
+    largest sweep count, the sweeps the kernel ran, and ``converged``
+    whether every sample converged.
     """
 
     rotated: np.ndarray
     rotation: np.ndarray
     iterations: int
-    criterion: float | np.ndarray
+    criterion: np.ndarray
     converged: bool
     sample_iterations: np.ndarray
     sample_converged: np.ndarray
@@ -161,20 +160,20 @@ def _criteria(sq: np.ndarray, axis: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the check below reports overflow
-def _finite_criteria(stack: np.ndarray, named: bool) -> np.ndarray:
+def _finite_criteria(stack: np.ndarray) -> np.ndarray:
     """Raw varimax objective per sample of a (T, p, k) stack.
 
-    Raises :class:`NumericalError` for the first sample, in index order,
-    whose objective is not finite; ``named`` puts its index in the message.
+    Raises :class:`NumericalError` naming the first sample, in index order,
+    whose objective is not finite.
     """
     # Squared into a C-ordered (T, k, p) array, so each column's sum over p
-    # runs over contiguous memory whatever T is, as in a single-matrix call.
+    # runs over contiguous memory whatever T is.
     criterion = _criteria(np.square(stack.transpose(0, 2, 1), order="C"), axis=2)
     finite = np.isfinite(criterion)
     if np.count_nonzero(finite) < len(finite):
         t = int(np.argmin(finite))
         message = f"varimax objective is {criterion[t]}: fourth powers of the loadings overflow"
-        raise NumericalError(f"sample {t}: {message}" if named else message)
+        raise NumericalError(f"sample {t}: {message}")
     return criterion
 
 
@@ -269,41 +268,38 @@ def _rotate_stack(arr: np.ndarray, cfg: VarimaxConfig):
 
 
 def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
-    """Rotate ``m`` to a varimax optimum with an orthogonal k x k matrix.
+    """Rotate each sample of a (T, p, k) stack to a varimax optimum.
 
-    ``m`` is one (p, k) matrix or a (T, p, k) stack of them, each rotated
-    on its own (see the module docstring).  Returns the rotated matrix, the
-    accumulated rotation ``R`` (so that ``rotated == m @ R`` up to
-    round-off), the number of completed sweeps, the raw varimax objective of
-    the rotated matrix, and a convergence flag.  Non-convergence within
-    ``max_iterations`` is reported, not raised.  The rotation does not
-    depend on the scale of ``m``: tiny loadings rotate as they would at unit
-    scale.  ``criterion`` is the raw varimax objective of ``rotated``, the
-    sum over its columns x of p*sum(x**4) - sum(x**2)**2, computed at the
-    input's scale, and grows as the fourth power of that scale: for loadings
-    of about 2**-270 and below it underflows to 0.0, although the rotation
-    is the unit-scale one.  Every column count runs the same kernel; a
-    single column has no pair to turn, so it is returned as it is, after 0
-    sweeps.  Raises :class:`NumericalError` when the objective of the
-    rotated matrix overflows, as it does once entries exceed about 1e77.
-    For a stack, errors name the first bad sample in their message:
-    ``ValueError("sample t: ...")`` for non-finite entries and
-    ``NumericalError("sample t: ...")`` for overflow.
+    Each sample is rotated on its own by an orthogonal k x k matrix (see the
+    module docstring); a caller with one (p, k) matrix passes ``m[None]``
+    and reads row 0 of each array field.  Returns the rotated samples, the
+    accumulated rotations ``R`` (so that ``rotated == m @ R`` up to
+    round-off), the sweep counts, the raw varimax objective of each rotated
+    sample, and convergence flags (see :class:`VarimaxResult`).
+    Non-convergence within ``max_iterations`` is reported, not raised.  The
+    rotation does not depend on the scale of a sample: tiny loadings rotate
+    as they would at unit scale.  ``criterion`` is the raw varimax objective
+    of each rotated sample, the sum over its columns x of
+    p*sum(x**4) - sum(x**2)**2, computed at the input's scale, and grows as
+    the fourth power of that scale: for loadings of about 2**-270 and below
+    it underflows to 0.0, although the rotation is the unit-scale one.
+    Every column count runs the same kernel; a single column has no pair to
+    turn, so it is returned as it is, after 0 sweeps.  Raises
+    ``ValueError`` unless ``m`` has shape (T, p, k), and errors name the
+    first bad sample in their message: ``ValueError("sample t: ...")`` for
+    non-finite entries and ``NumericalError("sample t: ...")`` when the
+    objective of the rotated sample overflows, as it does once entries
+    exceed about 1e77.
     """
     cfg = config or VarimaxConfig()
-    arr = np.asarray(m, dtype=np.float64)
-    named = arr.ndim == 3
-    stack = validate_stack(arr, "loadings") if named else validate_loadings(arr)[None]
+    stack = validate_stack(m, "loadings")
     rotation, sweeps, converged = _rotate_stack(stack, cfg)
     rotated = stack @ rotation
-    criterion = _finite_criteria(rotated, named)
-    if not named:
-        rotated, rotation, criterion = rotated[0], rotation[0], float(criterion[0])
     return VarimaxResult(
         rotated=rotated,
         rotation=rotation,
         iterations=int(sweeps.max()),
-        criterion=criterion,
+        criterion=_finite_criteria(rotated),
         converged=bool(converged.all()),
         sample_iterations=sweeps,
         sample_converged=converged,

@@ -268,6 +268,12 @@ def test_dataset_round_trip_bitwise(tmp_path):
     assert header == "v1,v2,v3,v4"
 
 
+def test_dataset_writer_rejects_a_vector(tmp_path):
+    with pytest.raises(ValueError, match=r"^data must be 2-dimensional, got shape \(3,\)$"):
+        write_dataset(tmp_path / "d.csv", np.zeros(3))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dataset_missing_header_rejected(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1.0,2.0\n3.0,4.0\n")
@@ -288,6 +294,12 @@ def test_dataset_non_finite_entry_is_format_error(tmp_path, entry):
     path.write_text(f"v1,v2\n1.0,2.0\n3.0,{entry}\n")
     with pytest.raises(FileFormatError, match="non-finite"):
         read_dataset(path)
+
+
+def test_traces_writer_rejects_a_label_count_mismatch(tmp_path):
+    with pytest.raises(ValueError, match=r"^traces must be \(T, len\(labels\)\)$"):
+        write_traces(tmp_path / "t.csv", np.zeros((3, 2)), ["a"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_traces_round_trip_bitwise(tmp_path):

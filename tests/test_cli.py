@@ -246,14 +246,17 @@ def test_fit_overflow_prints_only_the_error_line(tmp_path):
             "generated loadings are not finite",
         ),
         (["oracle-check", "--noise", 1e308], "trial 0: --noise 1e+308 overflows the sample"),
-        (["oracle-check", "--noise", 1e160], "matching distance to the pivot is not finite"),
+        (
+            ["oracle-check", "--noise", 1e160],
+            "trial 0: matching distance to the pivot is not finite",
+        ),
     ],
     ids=["simulate", "oracle-check-1e308", "oracle-check-1e160"],
 )
 def test_generator_overflow_prints_only_the_error_line(tmp_path, argv, message):
     # simulate once printed two RuntimeWarnings, wrote a dataset holding -inf
     # and exited 2; oracle-check at --noise 1e308 printed a RuntimeWarning
-    # and exited 2, while 1e160 exited 4.
+    # and exited 2, while 1e160 exited 4 without naming the trial.
     done = _run_fresh(argv + ["--out", tmp_path / "out"])
     assert (done.returncode, done.stdout, done.stderr) == (4, "", f"error: {message}\n")
     assert _tree(tmp_path) == {}
@@ -388,6 +391,29 @@ def test_align_missing_chain_is_format_error(tmp_path):
     assert run(["align", tmp_path / "nope", "--out", tmp_path / "x"]) == 3
 
 
+def test_align_missing_payload_is_format_error(tmp_path, capsys):
+    from factoralign import Chain, write_chain
+
+    write_chain(tmp_path / "c", Chain(np.ones((4, 3, 2))))
+    (tmp_path / "c.bin").unlink()
+    assert run(["align", tmp_path / "c", "--out", tmp_path / "a"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot read chain payload {tmp_path / 'c.bin'}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_align_unsupported_layout_is_format_error(tmp_path, capsys):
+    from factoralign import Chain, write_chain
+
+    write_chain(tmp_path / "c", Chain(np.ones((4, 3, 2))))
+    manifest = json.loads((tmp_path / "c.json").read_text())
+    (tmp_path / "c.json").write_text(json.dumps({**manifest, "layout": "row-major"}))
+    assert run(["align", tmp_path / "c", "--out", tmp_path / "a"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: unsupported layout/dtype (row-major, {manifest['dtype']}) in {tmp_path / 'c.json'}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
+
+
 def test_align_natural_order_and_forced_statistic(tmp_path):
     data = simulate_small(tmp_path)
     chain_prefix = fit_small(tmp_path, data)
@@ -500,6 +526,16 @@ def test_diagnose_out_of_range_trace_is_invalid(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
 
 
+@pytest.mark.parametrize("spec", ["a,b", "1.5,0", "0,1,2"])
+def test_diagnose_non_integer_trace_entry_is_invalid(tmp_path, capsys, spec):
+    # "a,b" once exited 2 with int()'s own message.  The chain is missing, so
+    # exit 2, not 3, shows that the entries are parsed before any chain is read.
+    argv = ["diagnose", "--aligned", tmp_path / "c", "--traces", spec, "--out", tmp_path / "d"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: trace entry {spec!r} is not of the form row,col\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_diagnose_requires_some_chain(tmp_path):
     assert run(["diagnose", "--out", tmp_path / "d"]) == 2
 
@@ -523,6 +559,16 @@ def test_oracle_check_exact_equals_brute_k6(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["exact_equals_brute_count"] == 25
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--trials", 0], "--trials must be >= 1"), (["--p", 2, "--k", 3], "need p >= k >= 1")],
+)
+def test_oracle_check_rejects_bad_sizes(tmp_path, capsys, argv, message):
+    assert run(["oracle-check", *argv, "--out", tmp_path / "o.json"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_check_refuses_brute_force_above_cap(tmp_path):

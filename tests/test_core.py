@@ -160,6 +160,11 @@ def test_apply_preserves_column_norm_multiset():
     )
 
 
+def test_apply_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="must have at least one row and one column"):
+        apply_signed_permutation(np.zeros((0, 3)), SignedPermutation([0, 1, 2], [1, 1, 1]))
+
+
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
         apply_signed_permutation(np.ones((3, 2)), SignedPermutation([0, 1, 2], [1, 1, 1]))
@@ -179,6 +184,13 @@ def test_apply_gram_invariance_property(seed, k, p):
 def test_signed_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         SignedPermutation([0, 0], [1, 1])
+
+
+def test_signed_permutation_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="^perm and signs must be 1-d vectors of equal length$"):
+        SignedPermutation([[0]], [[1]])
+    with pytest.raises(ValueError, match="^signed permutation must have length >= 1$"):
+        SignedPermutation([], [])
 
 
 def test_signed_permutation_rejects_bad_signs():

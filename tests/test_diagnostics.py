@@ -133,6 +133,11 @@ def test_ess_short_series_rejected():
         effective_sample_size(np.arange(5.0))
 
 
+def test_ess_rejects_a_matrix():
+    with pytest.raises(ValueError, match=r"^series must be 1-dimensional, got shape \(3, 3\)$"):
+        effective_sample_size(np.zeros((3, 3)))
+
+
 def test_ess_non_finite_rejected():
     series = np.ones(20)
     series[3] = np.inf
@@ -189,6 +194,11 @@ def test_export_traces_selects_requested_series():
     traces = export_traces(chain, [(2, 1), (0, 0)])
     np.testing.assert_array_equal(traces[:, 0], chain.samples[:, 2, 1])
     np.testing.assert_array_equal(traces[:, 1], chain.samples[:, 0, 0])
+
+
+def test_export_traces_rejects_no_entries():
+    with pytest.raises(ValueError, match=r"^at least one \(row, col\) entry is required$"):
+        export_traces(Chain(np.ones((4, 3, 2))), [])
 
 
 def test_export_traces_out_of_range():

@@ -122,6 +122,13 @@ def test_generator_config_rejects_unidentifiable_k():
         GeneratorConfig(n=10, p=50, k=30, scenario=Scenario.INDEPENDENT, seed=0)
 
 
+def test_configs_reject_zero_counts():
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        GeneratorConfig(n=0, p=9, k=3, scenario=Scenario.SPARSE, seed=0)
+    with pytest.raises(ValueError, match="^iterations must be >= 1$"):
+        SamplerConfig(iterations=0, burn_in=0)
+
+
 def test_generator_config_rejects_k_zero():
     with pytest.raises(ValueError):
         GeneratorConfig(n=10, p=10, k=0, scenario=Scenario.INDEPENDENT, seed=0)
@@ -554,6 +561,11 @@ def test_gibbs_rejects_non_finite_data():
     x[3, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         gibbs_sample(x, SamplerConfig(iterations=5, burn_in=1), k=2)
+
+
+def test_gibbs_rejects_data_that_is_not_a_matrix():
+    with pytest.raises(ValueError, match=r"^data must be 2-dimensional, got shape \(5,\)$"):
+        gibbs_sample(np.zeros(5), SamplerConfig(iterations=5, burn_in=1), 1)
 
 
 def test_gibbs_rejects_data_without_rows():

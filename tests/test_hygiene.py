@@ -60,7 +60,9 @@ def _imported_names(tree: ast.Module):
 
 def test_every_import_is_used():
     unused = []
-    scanned = _modules("src/**/*.py", "bench/**/*.py", "tests/**/*.py", "demos/*.py")
+    scanned = _modules(
+        "src/**/*.py", "bench/**/*.py", "tests/**/*.py", "demos/*.py", "tools/*.py"
+    )
     for path, tree in scanned.items():
         read = _read_names(tree)
         unused += [

@@ -52,7 +52,8 @@ def loop_varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult
     """Reference for varimax_rotate: the cyclic sweep one real column pair at a time.
 
     Same pair order, gain gate, stopping rule and Kaiser normalization as
-    ``varimax_rotate``; only the arithmetic is spelled out per pair.
+    ``varimax_rotate``; only the arithmetic is spelled out per pair.  Takes
+    one (p, k) matrix and returns its fields without the sample axis.
     """
     arr = np.asarray(m, dtype=np.float64)
     cfg = config or VarimaxConfig()
@@ -123,42 +124,43 @@ def grid_max_criterion(m: np.ndarray, n_grid: int = 100_000) -> float:
 
 
 def test_criterion_zero_matrix():
-    assert varimax_rotate(np.zeros((3, 2))).criterion == 0.0
+    assert varimax_rotate(np.zeros((1, 3, 2))).criterion[0] == 0.0
 
 
 def test_criterion_constant_column_is_zero():
-    assert varimax_rotate([[1.0], [1.0]]).criterion == 0.0
+    assert varimax_rotate([[[1.0], [1.0]]]).criterion[0] == 0.0
 
 
 def test_criterion_hand_value():
-    assert varimax_rotate([[1.0], [0.0]]).criterion == 1.0
+    assert varimax_rotate([[[1.0], [0.0]]]).criterion[0] == 1.0
 
 
 def test_criterion_invariant_under_signed_permutation():
     # On a varimax optimum, where a signed permutation leaves nothing to turn.
     rng = np.random.default_rng(10)
-    m = varimax_rotate(rng.standard_normal((9, 4))).rotated
+    m = varimax_rotate(rng.standard_normal((9, 4))[None]).rotated[0]
     sp = random_signed_permutation(4, rng)
     drift = abs(
-        varimax_rotate(apply_signed_permutation(m, sp)).criterion - varimax_rotate(m).criterion
+        varimax_rotate(apply_signed_permutation(m, sp)[None]).criterion[0]
+        - varimax_rotate(m[None]).criterion[0]
     )
     assert drift <= 1e-10
 
 
 def test_rotate_k1_is_identity():
     m = np.array([[1.0], [2.0], [-3.0]])
-    res = varimax_rotate(m)
-    np.testing.assert_array_equal(res.rotated, m)
-    np.testing.assert_array_equal(res.rotation, [[1.0]])
-    assert res.iterations == 0
-    assert res.converged
+    res = varimax_rotate(m[None])
+    np.testing.assert_array_equal(res.rotated[0], m)
+    np.testing.assert_array_equal(res.rotation[0], [[1.0]])
+    assert res.sample_iterations[0] == 0
+    assert res.sample_converged[0]
 
 
 def test_rotate_matches_grid_oracle():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((8, 2))
-    res = varimax_rotate(m)
-    assert abs(res.criterion - grid_max_criterion(m)) <= 1e-6
+    res = varimax_rotate(m[None])
+    assert abs(res.criterion[0] - grid_max_criterion(m)) <= 1e-6
 
 
 def test_rotate_never_decreases_criterion():
@@ -167,8 +169,8 @@ def test_rotate_never_decreases_criterion():
     for _ in range(10):
         m = rng.standard_normal((10, 4))
         previous = _criterion(m)
-        for cap in range(1, varimax_rotate(m).iterations + 1):
-            crit = varimax_rotate(m, VarimaxConfig(max_iterations=cap)).criterion
+        for cap in range(1, varimax_rotate(m[None]).sample_iterations[0] + 1):
+            crit = varimax_rotate(m[None], VarimaxConfig(max_iterations=cap)).criterion[0]
             assert crit >= previous - 1e-12 * max(1.0, previous), cap
             previous = crit
 
@@ -176,40 +178,41 @@ def test_rotate_never_decreases_criterion():
 def test_rotation_is_orthogonal():
     rng = np.random.default_rng(13)
     m = rng.standard_normal((15, 6))
-    res = varimax_rotate(m)
-    eye = res.rotation.T @ res.rotation
+    rotation = varimax_rotate(m[None]).rotation[0]
+    eye = rotation.T @ rotation
     assert np.abs(eye - np.eye(6)).max() <= 1e-10
 
 
 def test_rotated_equals_input_times_rotation():
     rng = np.random.default_rng(14)
     m = rng.standard_normal((12, 5))
-    res = varimax_rotate(m)
-    assert frobenius_norm(res.rotated - m @ res.rotation) <= 1e-10 * frobenius_norm(m)
+    res = varimax_rotate(m[None])
+    assert frobenius_norm(res.rotated[0] - m @ res.rotation[0]) <= 1e-10 * frobenius_norm(m)
 
 
 def test_rotate_preserves_gram_matrix():
     rng = np.random.default_rng(15)
     m = rng.standard_normal((10, 3))
-    res = varimax_rotate(m)
+    rotated = varimax_rotate(m[None]).rotated[0]
     gram = m @ m.T
-    assert frobenius_norm(res.rotated @ res.rotated.T - gram) <= 1e-10 * frobenius_norm(gram)
+    assert frobenius_norm(rotated @ rotated.T - gram) <= 1e-10 * frobenius_norm(gram)
 
 
 def test_rotate_idempotent_within_tolerance():
     rng = np.random.default_rng(16)
     m = rng.standard_normal((14, 4))
     cfg = VarimaxConfig()
-    first = varimax_rotate(m, cfg)
+    first = varimax_rotate(m[None], cfg)
     second = varimax_rotate(first.rotated, cfg)
-    assert abs(second.criterion - first.criterion) <= cfg.tolerance * max(1.0, first.criterion)
+    gap = abs(second.criterion[0] - first.criterion[0])
+    assert gap <= cfg.tolerance * max(1.0, first.criterion[0])
     # a converged output is an exact fixed point
-    np.testing.assert_array_equal(second.rotated, first.rotated)
+    np.testing.assert_array_equal(second.rotated[0], first.rotated[0])
 
 
 def test_rotate_rejects_non_finite():
-    with pytest.raises(ValueError):
-        varimax_rotate(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        varimax_rotate(np.array([[np.nan, 1.0], [0.0, 1.0]])[None])
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -219,11 +222,11 @@ def test_rotate_hadamard_pattern_from_zero_criterion(normalize):
     # rounding-level criterion unrotated would be wrong here.
     m = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]]) / 2.0
     assert _criterion(m) == 0.0
-    res = varimax_rotate(m, VarimaxConfig(normalize=normalize))
-    assert res.converged
-    assert res.criterion == pytest.approx(2.0, abs=1e-12)
-    assert np.abs(np.abs(res.rotated) - np.sqrt(0.5) * np.eye(2)[[0, 1, 0, 1]]).max() <= 1e-12
-    np.testing.assert_array_equal(varimax_rotate(res.rotated).rotated, res.rotated)
+    res = varimax_rotate(m[None], VarimaxConfig(normalize=normalize))
+    assert res.sample_converged[0]
+    assert res.criterion[0] == pytest.approx(2.0, abs=1e-12)
+    assert np.abs(np.abs(res.rotated[0]) - np.sqrt(0.5) * np.eye(2)[[0, 1, 0, 1]]).max() <= 1e-12
+    np.testing.assert_array_equal(varimax_rotate(res.rotated).rotated[0], res.rotated[0])
 
 
 def test_rotate_leaves_a_flat_kaiser_objective_alone():
@@ -233,9 +236,9 @@ def test_rotate_leaves_a_flat_kaiser_objective_alone():
     x = np.array([0.4201183919452433, 1.2286995826584293, 1.2942045252346832,
                   0.04542266006420585, 0.18465963752167422, 1.100868006696127])
     cfg = VarimaxConfig(normalize=True)
-    res = varimax_rotate(np.column_stack([x, -x]), cfg)
-    assert res.converged
-    np.testing.assert_array_equal(varimax_rotate(res.rotated, cfg).rotated, res.rotated)
+    res = varimax_rotate(np.column_stack([x, -x])[None], cfg)
+    assert res.sample_converged[0]
+    np.testing.assert_array_equal(varimax_rotate(res.rotated, cfg).rotated[0], res.rotated[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,9 +261,9 @@ def test_rotation_with_duplicated_or_negated_columns_is_a_bitwise_fixed_point(
         if source >= 0:
             m[:, j] = data.draw(st.sampled_from([1.0, -1.0])) * m[:, source]
     cfg = VarimaxConfig(normalize=normalize)
-    first = varimax_rotate(m, cfg)
-    assert first.converged
-    np.testing.assert_array_equal(varimax_rotate(first.rotated, cfg).rotated, first.rotated)
+    first = varimax_rotate(m[None], cfg)
+    assert first.sample_converged[0]
+    np.testing.assert_array_equal(varimax_rotate(first.rotated, cfg).rotated[0], first.rotated[0])
 
 
 @pytest.mark.parametrize("scale", [1e77, 1e100, 1e200])
@@ -269,14 +272,14 @@ def test_rotate_overflowing_objective_raises(scale, normalize):
     # These once came back unrotated with converged=True and criterion=nan.
     m = scale * np.random.default_rng(26).standard_normal((20, 4))
     with pytest.raises(NumericalError, match="objective is"):
-        varimax_rotate(m, VarimaxConfig(normalize=normalize))
+        varimax_rotate(m[None], VarimaxConfig(normalize=normalize))
 
 
 def test_one_column_and_criterion_overflow_raise():
     # These once returned a nan criterion without an error.
     m = 1e100 * np.random.default_rng(26).standard_normal((20, 1))
-    with pytest.raises(NumericalError, match="^varimax objective is"):
-        varimax_rotate(m)
+    with pytest.raises(NumericalError, match="^sample 0: varimax objective is"):
+        varimax_rotate(m[None])
     with pytest.raises(NumericalError, match="^sample 1: varimax objective is"):
         varimax_rotate(np.stack([m / 1e100, m]))
 
@@ -286,8 +289,8 @@ def test_rotate_overflowing_angle_terms_raise():
     # overflow at this scale; this once raised NumericalError.
     m = np.full((4, 2), 4.7e76)
     assert _criterion(m) == 0.0
-    res = varimax_rotate(m)
-    np.testing.assert_array_equal(res.rotation, varimax_rotate(np.ldexp(m, -254)).rotation)
+    res = varimax_rotate(m[None])
+    np.testing.assert_array_equal(res.rotation, varimax_rotate(np.ldexp(m, -254)[None]).rotation)
 
 
 @pytest.mark.parametrize("exponent", [-400, -300, -120, 60, 250])
@@ -295,13 +298,13 @@ def test_rotate_is_bitwise_scale_equivariant_at_powers_of_two(exponent):
     # From 2^-300 down the fourth powers once underflowed: the input came
     # back unrotated after 1 sweep with converged=True.
     m = np.random.default_rng(29).standard_normal((20, 4))
-    want = varimax_rotate(m)
-    got = varimax_rotate(np.ldexp(m, exponent))
-    np.testing.assert_array_equal(got.rotation, want.rotation)
-    assert got.iterations == want.iterations and got.converged
+    want = varimax_rotate(m[None])
+    got = varimax_rotate(np.ldexp(m, exponent)[None])
+    np.testing.assert_array_equal(got.rotation[0], want.rotation[0])
+    assert got.sample_iterations[0] == want.sample_iterations[0] and got.sample_converged[0]
     # The criterion stays at the input's scale, a fourth-power quantity that
     # underflows from about 2^-270 down.
-    assert (got.criterion == 0.0) == (exponent <= -300)
+    assert (got.criterion[0] == 0.0) == (exponent <= -300)
 
 
 def test_stack_rotates_each_sample_at_its_own_scale():
@@ -309,9 +312,9 @@ def test_stack_rotates_each_sample_at_its_own_scale():
     exponents = np.array([-300, 0, 200])
     res = varimax_rotate(np.ldexp(samples, exponents[:, None, None]))
     for t, sample in enumerate(samples):
-        want = varimax_rotate(sample)
-        np.testing.assert_array_equal(res.rotation[t], want.rotation)
-        assert res.sample_iterations[t] == want.iterations
+        want = varimax_rotate(sample[None])
+        np.testing.assert_array_equal(res.rotation[t], want.rotation[0])
+        assert res.sample_iterations[t] == want.sample_iterations[0]
 
 
 @pytest.mark.parametrize("scale", [1e60, 1e75])
@@ -319,11 +322,11 @@ def test_rotate_is_scale_equivariant_up_to_overflow(scale):
     # The gain once squared the angle numerator, which overflows from about
     # 1e39 on: every gain read inf, so sweeps ran on up to max_iterations.
     m = np.random.default_rng(27).standard_normal((20, 4))
-    want = varimax_rotate(m)
-    got = varimax_rotate(scale * m)
-    assert got.converged and got.iterations == want.iterations
-    assert np.abs(got.rotated / scale - want.rotated).max() <= 1e-13
-    assert np.abs(got.rotation - want.rotation).max() <= 1e-13
+    want = varimax_rotate(m[None])
+    got = varimax_rotate(scale * m[None])
+    assert got.sample_converged[0] and got.sample_iterations[0] == want.sample_iterations[0]
+    assert np.abs(got.rotated[0] / scale - want.rotated[0]).max() <= 1e-13
+    assert np.abs(got.rotation[0] - want.rotation[0]).max() <= 1e-13
 
 
 def test_orthogonalize_chain_names_overflowing_sample():
@@ -337,16 +340,17 @@ def test_kaiser_normalization_path():
     rng = np.random.default_rng(17)
     m = rng.standard_normal((10, 3))
     m[0] = 0.0  # zero row must not blow up the normalization
-    res = varimax_rotate(m, VarimaxConfig(normalize=True))
-    assert np.abs(res.rotation.T @ res.rotation - np.eye(3)).max() <= 1e-10
-    assert frobenius_norm(res.rotated - m @ res.rotation) <= 1e-10 * frobenius_norm(m)
+    res = varimax_rotate(m[None], VarimaxConfig(normalize=True))
+    rotated, rotation = res.rotated[0], res.rotation[0]
+    assert np.abs(rotation.T @ rotation - np.eye(3)).max() <= 1e-10
+    assert frobenius_norm(rotated - m @ rotation) <= 1e-10 * frobenius_norm(m)
 
 
 def test_orthogonalize_chain_singleton():
     rng = np.random.default_rng(18)
     m = rng.standard_normal((9, 3))
     chain = orthogonalize_chain(Chain(m[None]))
-    np.testing.assert_array_equal(chain.samples[0], varimax_rotate(m).rotated)
+    np.testing.assert_array_equal(chain.samples[0], varimax_rotate(m[None]).rotated[0])
 
 
 def test_orthogonalize_chain_deterministic_across_identical_samples():
@@ -399,10 +403,11 @@ def test_orthogonalize_chain_reports_failing_sample_index():
 def test_non_convergence_is_flagged_not_raised():
     rng = np.random.default_rng(23)
     m = rng.standard_normal((12, 5))
-    res = varimax_rotate(m, VarimaxConfig(max_iterations=1))
-    assert not res.converged
-    assert res.iterations == 1
-    assert np.abs(res.rotation.T @ res.rotation - np.eye(5)).max() <= 1e-10
+    res = varimax_rotate(m[None], VarimaxConfig(max_iterations=1))
+    assert not res.sample_converged[0]
+    assert res.sample_iterations[0] == 1
+    rotation = res.rotation[0]
+    assert np.abs(rotation.T @ rotation - np.eye(5)).max() <= 1e-10
 
 
 def test_orthogonalize_chain_warns_on_non_convergence(caplog):
@@ -451,14 +456,14 @@ def test_rotate_equals_pair_loop(seed, shape, log_scale, normalize, max_iteratio
     """
     m = 10.0**log_scale * np.random.default_rng(seed).standard_normal(shape)
     cfg = VarimaxConfig(max_iterations=max_iterations, normalize=normalize)
-    got = varimax_rotate(m, cfg)
+    got = varimax_rotate(m[None], cfg)
     want = loop_varimax_rotate(m, cfg)
-    assert got.iterations == want.iterations
-    assert got.converged == want.converged
+    assert got.sample_iterations[0] == want.iterations
+    assert got.sample_converged[0] == want.converged
     scale = np.abs(m).max()
-    assert np.abs(got.rotated - want.rotated).max() <= 1e-12 * scale
-    assert np.abs(got.rotation - want.rotation).max() <= 1e-12
-    assert abs(got.criterion - want.criterion) <= 1e-12 * abs(want.criterion)
+    assert np.abs(got.rotated[0] - want.rotated).max() <= 1e-12 * scale
+    assert np.abs(got.rotation[0] - want.rotation).max() <= 1e-12
+    assert abs(got.criterion[0] - want.criterion) <= 1e-12 * abs(want.criterion)
 
 
 def test_orthogonalize_chain_calls_varimax_rotate_once_per_chain(monkeypatch):
@@ -546,12 +551,12 @@ def test_stack_rows_equal_single_calls(normalize, max_iterations):
     cfg = VarimaxConfig(max_iterations=max_iterations, normalize=normalize)
     got = varimax_rotate(stack, cfg)
     for t, m in enumerate(stack):
-        one = varimax_rotate(m, cfg)
-        np.testing.assert_array_equal(got.rotated[t], one.rotated)
-        np.testing.assert_array_equal(got.rotation[t], one.rotation)
-        assert got.criterion[t] == one.criterion
-        assert got.sample_iterations[t] == one.iterations
-        assert got.sample_converged[t] == one.converged
+        one = varimax_rotate(m[None], cfg)
+        np.testing.assert_array_equal(got.rotated[t], one.rotated[0])
+        np.testing.assert_array_equal(got.rotation[t], one.rotation[0])
+        assert got.criterion[t] == one.criterion[0]
+        assert got.sample_iterations[t] == one.sample_iterations[0]
+        assert got.sample_converged[t] == one.sample_converged[0]
         assert one.sample_iterations.tolist() == [one.iterations]
 
 
@@ -581,10 +586,11 @@ def test_stack_rows_equal_single_calls_to_the_sign_bit(normalize, max_iterations
     for t in (0, 2):
         np.testing.assert_array_equal(got.rotation[t].view(np.int64), np.eye(4).view(np.int64))
     for t, m in enumerate(stack):
-        one = varimax_rotate(m, cfg)
-        np.testing.assert_array_equal(got.rotation[t].view(np.int64), one.rotation.view(np.int64))
-        np.testing.assert_array_equal(got.rotated[t].view(np.int64), one.rotated.view(np.int64))
-        assert got.sample_iterations[t] == one.iterations
+        one = varimax_rotate(m[None], cfg)
+        rotation, rotated = one.rotation[0], one.rotated[0]
+        np.testing.assert_array_equal(got.rotation[t].view(np.int64), rotation.view(np.int64))
+        np.testing.assert_array_equal(got.rotated[t].view(np.int64), rotated.view(np.int64))
+        assert got.sample_iterations[t] == one.sample_iterations[0]
 
 
 def test_stack_fixed_point_is_bitwise():
@@ -608,8 +614,9 @@ def test_stack_k1_is_identity():
 def test_stack_rejects_bad_shapes():
     with pytest.raises(ValueError, match="non-empty"):
         varimax_rotate(np.zeros((0, 4, 2)))
-    with pytest.raises(ValueError, match="2-dimensional"):
-        varimax_rotate(np.zeros((2, 3, 4, 2)))
+    for shape in [(2, 3, 4, 2), (4, 2)]:
+        with pytest.raises(ValueError, match=r"^loadings must have shape \(T, p, k\), got "):
+            varimax_rotate(np.zeros(shape))
 
 
 def test_stack_names_first_non_finite_sample():
