@@ -20,10 +20,14 @@ per-sample, per-column scan (``_greedy_match_stats`` in
 ``tests/test_align.py``), which counts the distances and norms the rule
 evaluates, and check the kernel against it bitwise.
 
-``align_posterior`` is the whole ``align`` pipeline in one call: it
-varimax-rotates every draw, picks the pivot, matches the chain to it and
-computes the diagnostics, and returns the aligned chain with the body and
-stage seconds of the ``align`` report.
+``align_posterior`` is the whole ``align`` pipeline in one call, and each
+stage passes on the record it makes: ``orthogonalize_chain`` returns the
+:class:`~factoralign.varimax.VarimaxResult` of every draw, ``select_pivot``
+reads its rotated stack, and ``align_chain`` matches that stack to the pivot
+and folds each draw's rotation, permutation and signs into one k x k
+transform.  The aligned chain is the raw chain times those transforms; no
+rotated chain is built.  It then computes the diagnostics and returns the
+aligned chain with the body and stage seconds of the ``align`` report.
 
 The two exact matchers exist as quality baselines and test oracles: the
 per-sample optimum from an in-package O(k^3) assignment solve (the Hungarian
@@ -90,14 +94,20 @@ class AlignmentReport:
     """Per-sample matching results for an aligned chain.
 
     ``perm`` and ``signs`` are read-only ``(T, k)`` arrays holding each
-    sample's signed permutation in the :class:`SignedPermutation`
+    rotated sample's signed permutation in the :class:`SignedPermutation`
     convention: aligned column j of sample t is
-    ``signs[t, j] * samples[t][:, perm[t, j]]``.
+    ``signs[t, j] * rotated[t][:, perm[t, j]]``.  ``losses`` holds each
+    aligned sample's Frobenius distance to the pivot.  ``transform`` is the
+    read-only ``(T, k, k)`` stack of each sample's whole alignment, its
+    varimax rotation ``R_t`` with columns permuted and signed:
+    ``transform[t] = R_t[:, perm[t]] * signs[t]``, an orthogonal matrix,
+    and aligned sample t is ``raw[t] @ transform[t]``.
     """
 
     perm: np.ndarray
     signs: np.ndarray
     losses: np.ndarray
+    transform: np.ndarray
 
 
 def _checked_pair(a, pivot) -> tuple[np.ndarray, np.ndarray]:
@@ -347,44 +357,50 @@ def _greedy_match_chain(
 
 @np.errstate(over="ignore", invalid="ignore")
 def align_chain(
-    chain: Chain,
+    raw: Chain,
+    rotation: varimax.VarimaxResult,
     pivot_index: int,
     order: MatchOrder = MatchOrder.BY_DESCENDING_NORM,
 ) -> tuple[Chain, AlignmentReport]:
-    """Greedily align every sample of an orthogonalized chain to the pivot sample.
+    """Greedily align every rotated sample to the pivot sample, and apply it to ``raw``.
 
-    The pivot is ``chain.samples[pivot_index]``, the index that
-    :func:`~factoralign.pivot.select_pivot` returns.  Returns the aligned
-    chain (residual variances pass through unchanged; they are per-variable,
-    not per-factor) and an :class:`AlignmentReport` with the applied
-    transforms and per-sample Frobenius losses.  Matches and losses equal
-    :func:`greedy_match`'s and ``frobenius_norm``'s per sample, bitwise.
-    Raises ``ValueError`` unless ``pivot_index`` is an integer in [0, T), and
-    :class:`NumericalError` naming the first sample whose matched distance or
-    loss overflows.
+    ``rotation`` is the :class:`~factoralign.varimax.VarimaxResult` of
+    ``raw``'s samples, as :func:`~factoralign.varimax.orthogonalize_chain`
+    returns it.  The pivot is ``rotation.rotated[pivot_index]``, the index
+    that :func:`~factoralign.pivot.select_pivot` returns, and each rotated
+    sample is matched to it.  The aligned chain is
+    ``raw.samples @ report.transform``, with ``raw``'s residual variances
+    (they are per-variable, not per-factor); see :class:`AlignmentReport`
+    for the transform.  Matches and losses equal :func:`greedy_match`'s and
+    ``frobenius_norm``'s per rotated sample, bitwise.  Raises
+    ``ValueError`` unless ``pivot_index`` is an integer in [0, T) and
+    ``rotation.rotated`` has ``raw``'s shape, and :class:`NumericalError`
+    naming the first sample whose matched distance or loss overflows.
     """
+    if rotation.rotated.shape != raw.samples.shape:
+        raise ValueError(f"shape mismatch: rotated {rotation.rotated.shape} vs {raw.samples.shape}")
     check_integers(pivot_index=pivot_index)
-    if not 0 <= pivot_index < chain.n_samples:
-        raise ValueError(f"pivot_index {pivot_index} is out of range for T={chain.n_samples}")
-    # A sample of the validated chain, the pivot has its shape and is finite.
-    pivot = chain.samples[pivot_index]
+    if not 0 <= pivot_index < raw.n_samples:
+        raise ValueError(f"pivot_index {pivot_index} is out of range for T={raw.n_samples}")
+    # A sample of a validated stack, the pivot has its shape and is finite.
+    pivot = rotation.rotated[pivot_index]
 
-    samples = chain.samples
-    perm, signs, matched_d2 = _greedy_match_chain(samples, pivot, order)
-    aligned = np.take_along_axis(samples, perm[:, None, :], axis=2)
-    aligned *= signs[:, None, :]
+    perm, signs, matched_d2 = _greedy_match_chain(rotation.rotated, pivot, order)
+    transform = np.take_along_axis(rotation.rotation, perm[:, None, :], axis=2)
+    transform *= signs[:, None, :]
+    aligned = raw.samples @ transform
     residual = aligned - pivot
     np.multiply(residual, residual, out=residual)
     # Summed over each sample's flat p*k entries, as frobenius_norm sums them.
-    losses = np.sqrt(np.add.reduce(residual.reshape(chain.n_samples, -1), axis=1))
+    losses = np.sqrt(np.add.reduce(residual.reshape(raw.n_samples, -1), axis=1))
     finite = np.isfinite(matched_d2).all(axis=1) & np.isfinite(losses)
     if not finite.all():
         raise NumericalError(f"sample {int(np.argmin(finite))}: {_NON_FINITE_DISTANCE}")
 
     _warn_unstable_matches(np.count_nonzero(matched_d2 > _unstable_d2(pivot), axis=1), "samples")
-    perm.flags.writeable = False
-    signs.flags.writeable = False
-    return Chain(aligned, chain.residual_variances), AlignmentReport(perm, signs, losses)
+    for arr in (perm, signs, transform):
+        arr.flags.writeable = False
+    return Chain(aligned, raw.residual_variances), AlignmentReport(perm, signs, losses, transform)
 
 
 def align_posterior(
@@ -398,11 +414,14 @@ def align_posterior(
 
     The options are those of :func:`~factoralign.varimax.orthogonalize_chain`
     (``config``), :func:`~factoralign.pivot.select_pivot` and
-    :func:`align_chain`.  Returns ``(aligned, body, seconds)``: the aligned
-    chain; the ``alignment`` and ``diagnostics`` blocks of the ``align``
-    report, the latter :func:`~factoralign.diagnostics.build_report` without
-    the raw chain's per-entry ESS; and the ``varimax``, ``pivot``, ``match``
-    and ``diagnostics`` seconds, each from the end of the stage before.
+    :func:`align_chain`.  The varimax result goes to both later stages: the
+    pivot is chosen from its rotated stack, and :func:`align_chain` matches
+    that stack and returns ``raw.samples @ transform``.  Returns
+    ``(aligned, body, seconds)``: the aligned chain; the ``alignment`` and
+    ``diagnostics`` blocks of the ``align`` report, the latter
+    :func:`~factoralign.diagnostics.build_report` without the raw chain's
+    per-entry ESS; and the ``varimax``, ``pivot``, ``match`` and
+    ``diagnostics`` seconds, each from the end of the stage before.
 
     ``comparisons_per_sample`` counts the greedy rule's work per sample, as
     the tests' per-column scan evaluates it: k(k+1) candidate distances under
@@ -414,11 +433,13 @@ def align_posterior(
     # so that a wrapper set on the module attribute (bench/tracing.py times
     # the stages that way) sees the call.
     stamps = [time.perf_counter()]
-    rotated = varimax.orthogonalize_chain(raw, config)
+    rotation = varimax.orthogonalize_chain(raw, config)
     stamps.append(time.perf_counter())
-    selection = pivot_stage.select_pivot(rotated, force_statistic, infinite_fraction_threshold)
+    selection = pivot_stage.select_pivot(
+        rotation.rotated, force_statistic, infinite_fraction_threshold
+    )
     stamps.append(time.perf_counter())
-    aligned, report = align_chain(rotated, selection.index, order)
+    aligned, report = align_chain(raw, rotation, selection.index, order)
     stamps.append(time.perf_counter())
     metrics = diagnostics.build_report(raw, aligned)
     del metrics["per_entry_ess_raw"]

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -253,11 +254,10 @@ def _cmd_align(args) -> int:
 def _parse_trace_entries(spec: str) -> list[tuple[int, int]]:
     entries = []
     for item in spec.split(";"):
-        try:
-            row, col = map(int, item.split(","))
-        except ValueError:
-            raise ValueError(f"trace entry {item!r} is not of the form row,col") from None
-        entries.append((row, col))
+        # int() would also take "1_0", " 1", "+1" and non-ASCII digits.
+        if not re.fullmatch(r"-?[0-9]+,-?[0-9]+", item):
+            raise ValueError(f"trace entry {item!r} is not of the form row,col")
+        entries.append(tuple(map(int, item.split(","))))
     return entries
 
 

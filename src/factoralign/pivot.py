@@ -1,4 +1,4 @@
-"""Reference-matrix (pivot) selection from an orthogonalized chain.
+"""Reference-matrix (pivot) selection from a stack of orthogonalized samples.
 
 The pivot is the sample whose conditioning statistic sits at the lower median
 of the chain: condition number by default, falling back to the largest
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Chain
+from .core import validate_stack
 
 __all__ = [
     "PivotSelection",
@@ -33,7 +33,8 @@ class PivotStatistic(enum.Enum):
 class PivotSelection:
     """The pivot's sample index, the statistic used, and every sample's statistic value.
 
-    The pivot itself is ``chain.samples[index]``; no copy of it is kept.
+    The pivot itself is ``samples[index]`` of the stack passed to
+    :func:`select_pivot`; no copy of it is kept.
     """
 
     index: int
@@ -56,23 +57,28 @@ def _lower_median_index(stats: np.ndarray) -> int:
 
 
 def select_pivot(
-    chain: Chain,
+    samples,
     force_statistic: PivotStatistic | None = None,
     infinite_fraction_threshold: float = INFINITE_FRACTION_THRESHOLD,
 ) -> PivotSelection:
-    """Choose the pivot sample of an orthogonalized chain.
+    """Choose the pivot sample of a ``(T, p, k)`` stack of orthogonalized samples.
 
-    The statistic is the condition number unless ``force_statistic`` overrides
+    ``align_posterior`` passes the ``rotated`` stack of
+    :func:`~factoralign.varimax.orthogonalize_chain`'s result.  The
+    statistic is the condition number unless ``force_statistic`` overrides
     it or more than ``infinite_fraction_threshold`` of the samples hit the
-    +inf rank-deficiency sentinel, in which case the whole chain switches to
+    +inf rank-deficiency sentinel, in which case the whole stack switches to
     the largest singular value.  The pivot is the sample at the returned
     ``index``; :func:`~factoralign.align.align_chain` takes that index.
+    Raises ``ValueError`` unless ``samples`` is a finite, tall ``(T, p, k)``
+    stack; a non-finite entry is named by its sample, as ``sample t: ...``.
     """
     check_infinite_fraction_threshold(infinite_fraction_threshold)
-    _, p, k = chain.samples.shape
+    samples = validate_stack(samples, "samples")
+    _, p, k = samples.shape
     if p < k:
         raise ValueError(f"samples must be tall (p >= k), got shape {(p, k)}")
-    svals = np.linalg.svd(chain.samples, compute_uv=False)
+    svals = np.linalg.svd(samples, compute_uv=False)
     sigma_max, sigma_min = svals[:, 0], svals[:, -1]
     # Rank-deficient samples divide by 1.0, since their sigma_min may be zero.
     deficient = sigma_min <= RANK_TOLERANCE * sigma_max

@@ -306,22 +306,26 @@ def varimax_rotate(m, config: VarimaxConfig | None = None) -> VarimaxResult:
     )
 
 
-def orthogonalize_chain(chain: Chain, config: VarimaxConfig | None = None) -> Chain:
+def orthogonalize_chain(chain: Chain, config: VarimaxConfig | None = None) -> VarimaxResult:
     """Varimax-rotate every sample of ``chain`` with one stack call of :func:`varimax_rotate`.
 
-    Sample order is preserved and residual variances pass through untouched.
-    Samples that hit ``max_iterations`` are kept and named in one warning.
-    Errors name the first bad sample (see :func:`varimax_rotate`).
+    Returns that call's :class:`VarimaxResult`, whose arrays keep the
+    chain's sample order: the rotated stack, each sample's rotation and its
+    sweep data.  No rotated chain is built:
+    :func:`~factoralign.align.align_chain` takes the result with the raw
+    chain.  Samples that hit
+    ``max_iterations`` are kept and named in one warning.  Errors name the
+    first bad sample (see :func:`varimax_rotate`).
     """
-    cfg = config or VarimaxConfig()
-    result = varimax_rotate(chain.samples, cfg)
+    result = varimax_rotate(chain.samples, config)
     unconverged = np.flatnonzero(~result.sample_converged)
     if unconverged.size:
+        # A sample that did not converge ran max_iterations sweeps, the most any ran.
         logger.warning(
             "varimax did not converge within %d sweeps for %d of %d samples; first: %s",
-            cfg.max_iterations,
+            result.iterations,
             unconverged.size,
             chain.n_samples,
             unconverged[:5].tolist(),
         )
-    return Chain(result.rotated, chain.residual_variances)
+    return result

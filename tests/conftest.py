@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from factoralign import VarimaxResult
 from factoralign.cli import main as cli_main
 
 # The end-to-end run uses a tight Gaussian loading prior (see notes in
@@ -35,6 +36,25 @@ PIPELINE = {
 def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((k, k)))
     return q * np.sign(np.diag(r))
+
+
+def unrotated(chain) -> VarimaxResult:
+    """The varimax result that leaves every sample of ``chain`` as it is.
+
+    Each rotation is the identity, so ``align_chain(chain, unrotated(chain),
+    ...)`` matches and aligns the chain's own samples.  ``criterion`` is not
+    computed (NaN); ``align_chain`` does not read it.
+    """
+    t_len, _, k = chain.samples.shape
+    return VarimaxResult(
+        rotated=chain.samples,
+        rotation=np.broadcast_to(np.eye(k), (t_len, k, k)),
+        iterations=0,
+        criterion=np.full(t_len, np.nan),
+        converged=True,
+        sample_iterations=np.zeros(t_len, dtype=np.int64),
+        sample_converged=np.ones(t_len, dtype=bool),
+    )
 
 
 @pytest.fixture(scope="session")

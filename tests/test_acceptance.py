@@ -38,7 +38,7 @@ from factoralign import (
 from factoralign.align import MatchOrder, _greedy_match_chain, align_chain
 from factoralign.diagnostics import effective_sample_size
 
-from conftest import PIPELINE
+from conftest import PIPELINE, unrotated
 
 
 def check(number: int, description: str, passed: bool, detail: str) -> None:
@@ -200,11 +200,11 @@ def test_criterion_6_complexity_scaling():
     ]
     small = Chain(np.stack(samples[:400]))
     double = Chain(np.stack(samples))
-    small_pivot, double_pivot = select_pivot(small), select_pivot(double)
+    small_pivot, double_pivot = select_pivot(small.samples), select_pivot(double.samples)
 
     def align_seconds(chain, selection) -> float:
         t0 = time.perf_counter()
-        align_chain(chain, selection.index)
+        align_chain(chain, unrotated(chain), selection.index)
         return time.perf_counter() - t0
 
     # The two sides of each ratio are timed in alternating calls, so a slow

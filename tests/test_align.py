@@ -13,6 +13,7 @@ from factoralign import (
     MatchOrder,
     NumericalError,
     SignedPermutation,
+    VarimaxConfig,
     align_chain,
     align_posterior,
     apply_signed_permutation,
@@ -21,6 +22,7 @@ from factoralign import (
     frobenius_norm,
     greedy_match,
     match_loss,
+    orthogonalize_chain,
     random_signed_permutation,
     select_pivot,
 )
@@ -31,6 +33,8 @@ from factoralign.align import (
     _signed_d2,
     _unstable_d2,
 )
+
+from conftest import unrotated
 
 
 def _greedy_match_stats(
@@ -424,8 +428,8 @@ def test_align_chain_zero_loss_for_signed_permutations_of_one_matrix():
         [apply_signed_permutation(base, random_signed_permutation(4, rng)) for _ in range(15)]
     )
     chain = Chain(samples)
-    sel = select_pivot(chain)
-    aligned, report = align_chain(chain, sel.index)
+    sel = select_pivot(chain.samples)
+    aligned, report = align_chain(chain, unrotated(chain), sel.index)
     assert report.losses.max() <= 1e-10
     for t in range(chain.n_samples):
         np.testing.assert_allclose(aligned.samples[t], chain.samples[sel.index], atol=1e-12)
@@ -434,8 +438,8 @@ def test_align_chain_zero_loss_for_signed_permutations_of_one_matrix():
 def test_align_chain_preserves_gram_matrices():
     rng = np.random.default_rng(54)
     chain = Chain(rng.standard_normal((6, 10, 3)))
-    sel = select_pivot(chain)
-    aligned, _ = align_chain(chain, sel.index)
+    sel = select_pivot(chain.samples)
+    aligned, _ = align_chain(chain, unrotated(chain), sel.index)
     for t in range(6):
         gram = chain.samples[t] @ chain.samples[t].T
         drift = frobenius_norm(aligned.samples[t] @ aligned.samples[t].T - gram)
@@ -463,18 +467,18 @@ def test_align_chain_rejects_a_pivot_index_outside_the_chain():
     chain = Chain(rng.standard_normal((4, 6, 2)))
     for index in (-1, 4):
         with pytest.raises(ValueError, match=rf"pivot_index {index} .* T=4"):
-            align_chain(chain, index)
+            align_chain(chain, unrotated(chain), index)
     for index in (1.0, True):
         with pytest.raises(ValueError, match="must be an integer"):
-            align_chain(chain, index)
+            align_chain(chain, unrotated(chain), index)
 
 
 def test_align_chain_passes_residual_variances_through():
     rng = np.random.default_rng(58)
     variances = rng.uniform(0.1, 3.0, size=(5, 7))
     chain = Chain(rng.standard_normal((5, 7, 2)), residual_variances=variances)
-    sel = select_pivot(chain)
-    aligned, _ = align_chain(chain, sel.index)
+    sel = select_pivot(chain.samples)
+    aligned, _ = align_chain(chain, unrotated(chain), sel.index)
     np.testing.assert_array_equal(aligned.residual_variances, variances)
 
 
@@ -531,7 +535,7 @@ def test_align_chain_equals_per_sample_greedy(caplog, seed, t_len, k, extra_rows
     pivot = chain.samples[pivot_index]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="factoralign.align"):
-        aligned, report = align_chain(chain, pivot_index, order)
+        aligned, report = align_chain(chain, unrotated(chain), pivot_index, order)
     records = list(caplog.records)
 
     assert report.perm.shape == report.signs.shape == (t_len, k)
@@ -564,10 +568,47 @@ def test_align_chain_equals_per_sample_greedy(caplog, seed, t_len, k, extra_rows
 def test_align_chain_report_arrays_are_read_only():
     rng = np.random.default_rng(59)
     chain = Chain(rng.standard_normal((4, 6, 3)))
-    _, report = align_chain(chain, select_pivot(chain).index)
+    _, report = align_chain(chain, unrotated(chain), select_pivot(chain.samples).index)
     for arr in (report.perm, report.signs):
         with pytest.raises(ValueError):
             arr[0, 0] = 0
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e60])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_aligned_chain_is_raw_times_transform(k, scale, normalize):
+    # numpy does not promise that raw @ Q rounds as the rotated stack's
+    # columns do, so these equalities are pinned bitwise.  The chain's
+    # samples are views of a (T, k, p) array, as read_chain returns them.
+    rng = np.random.default_rng([k, int(normalize), 62])
+    for p in (k, 2 * k + 3, 40):
+        raw = Chain((scale * rng.standard_normal((25, k, p))).transpose(0, 2, 1))
+        rotation = orthogonalize_chain(raw, VarimaxConfig(normalize=normalize))
+        pivot_index = select_pivot(rotation.rotated).index
+        for order in MatchOrder:
+            aligned, report = align_chain(raw, rotation, pivot_index, order)
+            perm, signs, transform = report.perm, report.signs, report.transform
+            # The gather over the rotated stack that align_chain once ran.
+            gathered = np.take_along_axis(rotation.rotated, perm[:, None, :], axis=2)
+            assert np.array_equal(aligned.samples, gathered * signs[:, None, :])
+            assert np.array_equal(aligned.samples, raw.samples @ transform)
+            assert transform.shape == (25, k, k) and not transform.flags.writeable
+            for t in range(25):
+                q = transform[t]
+                assert np.array_equal(q, rotation.rotation[t][:, perm[t]] * signs[t])
+                assert np.abs(q.T @ q - np.eye(k)).max() <= 1e-12
+            with pytest.raises(ValueError):
+                transform[0, 0, 0] = 0.0
+
+
+def test_align_chain_rejects_another_chains_rotation():
+    rng = np.random.default_rng(63)
+    chain = Chain(rng.standard_normal((6, 8, 3)))
+    for other in ((5, 8, 3), (6, 9, 3), (6, 8, 2)):
+        rotation = orthogonalize_chain(Chain(rng.standard_normal(other)))
+        with pytest.raises(ValueError, match=r"^shape mismatch: rotated \("):
+            align_chain(chain, rotation, 0)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e200])
@@ -577,7 +618,7 @@ def test_overflowing_distances_raise_numerical_error(scale):
     rng = np.random.default_rng(60)
     chain = Chain(scale * rng.standard_normal((20, 6, 2)))
     with pytest.raises(NumericalError, match="sample 0: matching distance"):
-        align_chain(chain, select_pivot(chain).index)
+        align_chain(chain, unrotated(chain), select_pivot(chain.samples).index)
     with pytest.raises(NumericalError, match="matching distance"):
         greedy_match(chain.samples[3], chain.samples[0])
 
@@ -591,4 +632,4 @@ def test_overflowing_loss_names_the_first_bad_sample():
     samples[3] = 1.3e154
     chain = Chain(samples)
     with pytest.raises(NumericalError, match="sample 2: matching distance"):
-        align_chain(chain, 0)
+        align_chain(chain, unrotated(chain), 0)

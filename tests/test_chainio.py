@@ -26,6 +26,8 @@ from factoralign import (
 from factoralign import chainio
 from factoralign.chainio import FLOAT_FORMAT, report_text, write_report, write_traces
 
+from conftest import unrotated
+
 
 @pytest.fixture
 def chain():
@@ -147,13 +149,13 @@ def test_match_and_diagnostics_stages_hold_few_payloads():
     rng = np.random.default_rng(85)
     t, p, k = 2000, 50, 5
     chain = Chain(rng.standard_normal((t, p, k)))
-    selection = select_pivot(chain)
+    selection = select_pivot(chain.samples)
     payload = 8 * t * p * k
     peaks = {}
     tracemalloc.start()
     try:
         for name, step in (
-            ("align_chain", lambda: align_chain(chain, selection.index)[0]),
+            ("align_chain", lambda: align_chain(chain, unrotated(chain), selection.index)[0]),
             ("build_report", lambda: build_report(chain, aligned)),
         ):
             tracemalloc.reset_peak()

@@ -477,7 +477,7 @@ def test_align_writes_a_rank_deficient_statistic_as_null(tmp_path):
     write_chain(tmp_path / "c", Chain(samples))
     assert run(["align", tmp_path / "c", "--out", tmp_path / "a"]) == 0
     alignment = json.loads((tmp_path / "a_report.json").read_text())["alignment"]
-    selection = select_pivot(orthogonalize_chain(Chain(samples)))
+    selection = select_pivot(orthogonalize_chain(Chain(samples)).rotated)
     assert alignment["pivot_statistic"] == "condition" and selection.statistics[3] == np.inf
     expected = selection.statistics.tolist()
     expected[3] = None
@@ -526,10 +526,12 @@ def test_diagnose_out_of_range_trace_is_invalid(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin", "c.json"]
 
 
-@pytest.mark.parametrize("spec", ["a,b", "1.5,0", "0,1,2"])
+@pytest.mark.parametrize("spec", ["a,b", "1.5,0", "0,1,2", "1_0,0", " 1,0", "+1,0", "\u0661,0"])
 def test_diagnose_non_integer_trace_entry_is_invalid(tmp_path, capsys, spec):
-    # "a,b" once exited 2 with int()'s own message.  The chain is missing, so
-    # exit 2, not 3, shows that the entries are parsed before any chain is read.
+    # "a,b" once exited 2 with int()'s own message, and int() once read
+    # "1_0" as row 10 and the Arabic-Indic digit one as row 1.  The chain is
+    # missing, so exit 2, not 3, shows that the entries are parsed before any
+    # chain is read.
     argv = ["diagnose", "--aligned", tmp_path / "c", "--traces", spec, "--out", tmp_path / "d"]
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: trace entry {spec!r} is not of the form row,col\n"

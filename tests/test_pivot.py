@@ -15,7 +15,8 @@ from factoralign.pivot import RANK_TOLERANCE
 
 def _statistic(m, statistic: PivotStatistic) -> float:
     """One matrix's pivot statistic: ``select_pivot`` on a chain of that sample alone."""
-    return float(select_pivot(Chain(np.asarray(m)[None]), force_statistic=statistic).statistics[0])
+    selection = select_pivot(Chain(np.asarray(m)[None]).samples, force_statistic=statistic)
+    return float(selection.statistics[0])
 
 
 def _condition_number(m) -> float:
@@ -51,7 +52,7 @@ def test_singular_values_match_characteristic_roots():
 
 def test_singular_values_reject_wide_matrix():
     with pytest.raises(ValueError, match="tall"):
-        select_pivot(Chain(np.ones((1, 2, 3))))
+        select_pivot(Chain(np.ones((1, 2, 3))).samples)
 
 
 def test_condition_number_identity():
@@ -81,7 +82,7 @@ def test_condition_number_invariant_under_signed_permutation():
 def test_select_pivot_singleton():
     rng = np.random.default_rng(32)
     chain = Chain(rng.standard_normal((1, 5, 2)))
-    sel = select_pivot(chain)
+    sel = select_pivot(chain.samples)
     assert sel.index == 0
     np.testing.assert_array_equal(chain.samples[sel.index], chain.samples[0])
 
@@ -103,7 +104,7 @@ def _chain_with_condition_numbers(kappas: list[float]) -> Chain:
 
 def test_select_pivot_median_of_three():
     chain = _chain_with_condition_numbers([1.2, 7.0, 2.5])
-    sel = select_pivot(chain)
+    sel = select_pivot(chain.samples)
     assert sel.index == 2
     np.testing.assert_allclose(sel.statistics, [1.2, 7.0, 2.5])
     assert sel.statistic_used is PivotStatistic.CONDITION_NUMBER
@@ -115,7 +116,7 @@ def test_select_pivot_lower_median_with_infinite_sample():
     # the statistic is forced here to exercise the median rule in isolation;
     # the automatic fallback is covered below.
     chain = _chain_with_condition_numbers([1.0, 2.0, 3.0, math.inf])
-    sel = select_pivot(chain, force_statistic=PivotStatistic.CONDITION_NUMBER)
+    sel = select_pivot(chain.samples, force_statistic=PivotStatistic.CONDITION_NUMBER)
     assert sel.statistic_used is PivotStatistic.CONDITION_NUMBER
     assert sel.index == 1
     assert sel.statistics[3] == math.inf
@@ -123,7 +124,7 @@ def test_select_pivot_lower_median_with_infinite_sample():
 
 def test_select_pivot_fallback_on_infinite_fraction():
     chain = _chain_with_condition_numbers([1.0, 2.0, 3.0, math.inf])
-    sel = select_pivot(chain)
+    sel = select_pivot(chain.samples)
     assert sel.statistic_used is PivotStatistic.LARGEST_SINGULAR_VALUE
     # sigma_max values are (1, 2, 3, sqrt(6)); lower median is 2 at index 1
     assert sel.index == 1
@@ -132,28 +133,28 @@ def test_select_pivot_fallback_on_infinite_fraction():
 def test_select_pivot_no_fallback_below_threshold():
     kappas = [1.0] * 10 + [math.inf]
     chain = _chain_with_condition_numbers(kappas)
-    sel = select_pivot(chain)  # 1/11 < 10%: keep the condition number
+    sel = select_pivot(chain.samples)  # 1/11 < 10%: keep the condition number
     assert sel.statistic_used is PivotStatistic.CONDITION_NUMBER
 
 
 def test_select_pivot_force_largest_singular_value():
     chain = _chain_with_condition_numbers([1.2, 7.0, 2.5])
-    sel = select_pivot(chain, force_statistic=PivotStatistic.LARGEST_SINGULAR_VALUE)
+    sel = select_pivot(chain.samples, force_statistic=PivotStatistic.LARGEST_SINGULAR_VALUE)
     assert sel.statistic_used is PivotStatistic.LARGEST_SINGULAR_VALUE
     np.testing.assert_allclose(sel.statistics, [1.2, 7.0, 2.5])  # sigma_max here
 
 
 def test_select_pivot_tie_breaks_to_smallest_index():
     chain = _chain_with_condition_numbers([4.0, 4.0, 4.0])
-    sel = select_pivot(chain)
+    sel = select_pivot(chain.samples)
     assert sel.index == 0  # lower median rank 2 ties at 4.0; earliest index wins
 
 
 def test_select_pivot_deterministic():
     rng = np.random.default_rng(33)
     chain = Chain(rng.standard_normal((7, 6, 2)))
-    a = select_pivot(chain)
-    b = select_pivot(chain)
+    a = select_pivot(chain.samples)
+    b = select_pivot(chain.samples)
     assert a.index == b.index
     np.testing.assert_array_equal(a.statistics, b.statistics)
 
@@ -161,7 +162,7 @@ def test_select_pivot_deterministic():
 def test_select_pivot_statistic_is_lower_median():
     rng = np.random.default_rng(34)
     chain = Chain(rng.standard_normal((9, 8, 3)))
-    sel = select_pivot(chain)
+    sel = select_pivot(chain.samples)
     value = sel.statistics[sel.index]
     t = len(sel.statistics)
     assert np.sum(sel.statistics <= value) >= (t + 1) // 2
@@ -187,14 +188,14 @@ def test_select_pivot_statistics_equal_per_sample_values():
     deficient = np.column_stack([col, col, rng.standard_normal(6)])
     samples = np.concatenate([rng.standard_normal((11, 6, 3)), deficient[None]])
     chain = Chain(samples)
-    sel = select_pivot(chain)
+    sel = select_pivot(chain.samples)
     assert sel.statistic_used is PivotStatistic.CONDITION_NUMBER
     assert sel.statistics[-1] == math.inf
     np.testing.assert_array_equal(sel.statistics, _per_sample_statistics(samples)[0])
 
     # Two deficient samples of five trigger the sigma-max fallback.
     fallback = Chain(np.concatenate([samples[:3], deficient[None], deficient[None]]))
-    sel = select_pivot(fallback)
+    sel = select_pivot(fallback.samples)
     assert sel.statistic_used is PivotStatistic.LARGEST_SINGULAR_VALUE
     np.testing.assert_array_equal(sel.statistics, _per_sample_statistics(fallback.samples)[1])
 
@@ -202,13 +203,22 @@ def test_select_pivot_statistics_equal_per_sample_values():
 def test_select_pivot_rejects_wide_chain():
     chain = Chain(np.random.default_rng(36).standard_normal((3, 2, 3)))
     with pytest.raises(ValueError, match="tall"):
-        select_pivot(chain)
+        select_pivot(chain.samples)
 
 
 def test_select_pivot_rejects_threshold_outside_unit_interval():
     chain = _chain_with_condition_numbers([1.0, 2.0, 3.0])
     for threshold in (-1.0, -1e-9, 1.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="infinite_fraction_threshold"):
-            select_pivot(chain, infinite_fraction_threshold=threshold)
+            select_pivot(chain.samples, infinite_fraction_threshold=threshold)
     for threshold in (0.0, 1.0):
-        assert select_pivot(chain, infinite_fraction_threshold=threshold).index == 1
+        assert select_pivot(chain.samples, infinite_fraction_threshold=threshold).index == 1
+
+
+def test_select_pivot_checks_the_stack():
+    with pytest.raises(ValueError, match=r"^samples must have shape \(T, p, k\), got \(4, 2\)"):
+        select_pivot(np.ones((4, 2)))
+    samples = np.ones((4, 3, 2))
+    samples[2, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="^sample 2: samples contain non-finite entries"):
+        select_pivot(samples)

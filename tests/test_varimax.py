@@ -349,24 +349,30 @@ def test_kaiser_normalization_path():
 def test_orthogonalize_chain_singleton():
     rng = np.random.default_rng(18)
     m = rng.standard_normal((9, 3))
-    chain = orthogonalize_chain(Chain(m[None]))
-    np.testing.assert_array_equal(chain.samples[0], varimax_rotate(m[None]).rotated[0])
+    result = orthogonalize_chain(Chain(m[None]))
+    np.testing.assert_array_equal(result.rotated[0], varimax_rotate(m[None]).rotated[0])
 
 
 def test_orthogonalize_chain_deterministic_across_identical_samples():
     rng = np.random.default_rng(19)
     m = rng.standard_normal((9, 3))
-    chain = orthogonalize_chain(Chain(np.stack([m, m, m])))
-    np.testing.assert_array_equal(chain.samples[0], chain.samples[1])
-    np.testing.assert_array_equal(chain.samples[0], chain.samples[2])
+    result = orthogonalize_chain(Chain(np.stack([m, m, m])))
+    np.testing.assert_array_equal(result.rotated[0], result.rotated[1])
+    np.testing.assert_array_equal(result.rotated[0], result.rotated[2])
 
 
-def test_orthogonalize_chain_passes_residual_variances_through():
-    rng = np.random.default_rng(20)
-    variances = rng.uniform(0.5, 2.0, size=(4, 6))
-    chain = Chain(rng.standard_normal((4, 6, 2)), residual_variances=variances)
-    out = orthogonalize_chain(chain)
-    np.testing.assert_array_equal(out.residual_variances, variances)
+def test_orthogonalize_chain_returns_the_varimax_result():
+    # A cap of 5 sweeps leaves some samples unconverged and stops others earlier.
+    samples = np.random.default_rng(21).standard_normal((12, 20, 3))
+    cfg = VarimaxConfig(max_iterations=5)
+    got = orthogonalize_chain(Chain(samples), cfg)
+    want = varimax_rotate(samples, cfg)
+    assert 0 < np.count_nonzero(got.sample_converged) < 12
+    assert len(set(got.sample_iterations.tolist())) > 1
+    np.testing.assert_array_equal(got.sample_iterations, want.sample_iterations)
+    np.testing.assert_array_equal(got.sample_converged, want.sample_converged)
+    np.testing.assert_array_equal(got.rotated, want.rotated)
+    np.testing.assert_array_equal(got.rotation, want.rotation)
 
 
 def test_orthogonalize_chain_collapses_rotation_orbit():
@@ -382,7 +388,7 @@ def test_orthogonalize_chain_collapses_rotation_orbit():
     samples = np.stack([base @ random_orthogonal(3, rng) for _ in range(12)])
     cfg = VarimaxConfig(tolerance=1e-14, max_iterations=5000)
     rotated = orthogonalize_chain(Chain(samples), cfg)
-    outs = rotated.samples
+    outs = rotated.rotated
     for i in range(len(outs)):
         for j in range(i + 1, len(outs)):
             sp = exact_match_assignment(outs[i], outs[j])
